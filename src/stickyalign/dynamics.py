@@ -11,9 +11,9 @@ Collisions are events: an adjacent gap reaching the contact threshold stops
 the step, the instant is localized by bisection on the cubic-Hermite dense
 output of the accepted Dormand-Prince 5(4) step, and the touching clusters
 merge inelastically.  The merge rule at one instant is the tangent-cone
-projection of velocities: within each maximal run of contact pairs, closing
-neighbours pool (mass-weighted) until the run's velocities are nondecreasing,
-which is exactly blockwise pool-adjacent-violators and conserves momentum.
+projection of velocities: within each maximal run of contact pairs the
+velocities are projected, mass-weighted, onto the nondecreasing ones by
+blockwise pool-adjacent-violators, which conserves momentum.
 
 Zero-measure integrals for later verification (the per-cell convolution
 integral of the projection formula, and the dissipation integral of the
@@ -32,6 +32,7 @@ import numpy as np
 from .ensemble import Ensemble
 from .exceptions import InvalidScenarioError, NumericalAbortError
 from .kernels import Kernel
+from .monotone import project_subspace, project_tangent_cone
 
 __all__ = [
     "Tolerances",
@@ -104,13 +105,12 @@ class StepResult:
 
 def drift(ensemble: Ensemble, kernel: Kernel) -> np.ndarray:
     """Cluster velocities psi - (Phi * rho)(x) of the first-order system."""
-    x = ensemble.positions
-    return ensemble.psi - kernel.big_phi(x[:, None] - x[None, :]) @ ensemble.masses
+    return _make_rhs(ensemble.masses, ensemble.psi, kernel)(ensemble.positions)
 
 
 def _make_rhs(masses: np.ndarray, psi: np.ndarray, kernel: Kernel):
     def rhs(x: np.ndarray) -> np.ndarray:
-        return psi - kernel.big_phi(x[:, None] - x[None, :]) @ masses
+        return psi - kernel.convolve(x, x, masses)
     return rhs
 
 
@@ -224,51 +224,52 @@ def _first_trigger(x0, v0, x1, v1, h, eps, s_tol):
     return best
 
 
+def _runs(pairs: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open cluster ranges of the maximal runs of flagged pairs (i, i+1)."""
+    edges = np.diff(np.concatenate(([0], pairs.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) + 1
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
 def _cascade(ens: Ensemble, t_ev: float, eps: float):
     """Resolve all contacts at one instant; returns (ensemble, events).
 
-    Repeatedly merges maximal runs of adjacent pairs that overlap or are in
-    contact and closing, pooling velocities mass-weighted.  Pooling only ever
-    averages the *pre-event* velocities (never re-derived forces), so the
-    whole cascade is the tangent-cone projection of the incoming velocity
-    vector and momentum is conserved run by run.
+    The merge is the tangent-cone projection of the incoming velocities
+    (Brenier & Grenier, SIAM J. Numer. Anal. 35, 1998; Natile & Savare, SIAM
+    J. Math. Anal. 41, 2009).  Overlapping clusters, the level sets of the
+    monotone fit of the positions, pool their velocities; then blockwise PAVA
+    runs inside each maximal run of pairs in contact (gap <= 2 eps), all
+    mass-weighted.  A merged block is a run of pairs that overlap, or that are
+    in contact and do not come out strictly increasing, so contact pairs with
+    equal velocities merge too.  Each block merges once, conserving momentum,
+    and gives one :class:`MergeEvent`.
     """
-    cur = ens
-    while True:
-        gaps = np.diff(cur.positions)
-        v = cur.velocities
-        mark = (gaps <= 0.0) | ((gaps <= 2.0 * eps) & (v[:-1] - v[1:] >= 0.0))
-        if not np.any(mark):
-            break
-        runs = []
-        i = 0
-        while i < mark.size:
-            if mark[i]:
-                j = i
-                while j < mark.size and mark[j]:
-                    j += 1
-                runs.append((i, j + 1))
-                i = j + 1
-            else:
-                i += 1
-        cur = cur.merged(runs)
+    m = ens.masses
+    x = ens.positions
+    gaps = np.diff(x)
+    # only gaps within the total overlap can close when overlaps are pooled
+    reach = -float(np.sum(np.minimum(gaps, 0.0)))
+    overlap = np.diff(project_tangent_cone(x, _runs(gaps <= reach), m)) <= 0.0
+    contact = overlap | (gaps <= 2.0 * eps)
+    v = project_subspace(ens.velocities, _runs(overlap), m)
+    v = project_tangent_cone(v, _runs(contact), m)
+    blocks = _runs(overlap | (contact & (v[:-1] >= v[1:])))
+    if not blocks:
+        return ens, []
 
-    events = []
-    if cur.n_clusters != ens.n_clusters:
-        old_lin = ens.lineage
-        for k, (a, b) in enumerate(cur.cluster_cell_ranges()):
-            old_clusters = np.unique(old_lin[a:b])
-            if old_clusters.size > 1:
-                events.append(MergeEvent(
-                    time=t_ev,
-                    first_index=int(a),
-                    last_index=int(b - 1),
-                    pre_velocities=tuple(float(ens.velocities[c]) for c in old_clusters),
-                    pre_masses=tuple(float(ens.masses[c]) for c in old_clusters),
-                    post_velocity=float(cur.velocities[k]),
-                    post_psi=float(cur.psi[k]),
-                ))
-    return cur, events
+    post = ens.merged(blocks)
+    starts, stops = np.array(blocks).T
+    firsts = np.searchsorted(ens.lineage, starts)
+    lasts = np.searchsorted(ens.lineage, stops) - 1
+    events = [MergeEvent(time=t_ev, first_index=first, last_index=last,
+                         post_velocity=float(post.velocities[k]),
+                         post_psi=float(post.psi[k]),
+                         pre_velocities=tuple(ens.velocities[a:b].tolist()),
+                         pre_masses=tuple(m[a:b].tolist()))
+              for (a, b), first, last, k in zip(blocks, firsts.tolist(), lasts.tolist(),
+                                                post.lineage[firsts].tolist())]
+    return post, events
 
 
 def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,

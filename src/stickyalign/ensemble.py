@@ -35,6 +35,12 @@ __all__ = [
 MASS_BUDGET_TOL = 1e-12
 
 
+def _block_sums(a, starts) -> np.ndarray:
+    """``np.sum`` of each block ``a[starts[k]:starts[k + 1]]``, bit for bit:
+    a zero in front of every block makes ``np.add.reduceat`` add in that order."""
+    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(starts.size))
+
+
 def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -56,7 +62,7 @@ def natural_velocities(masses, positions, velocities, kernel: Kernel) -> np.ndar
         raise InvalidEnsembleError("masses must be strictly positive")
     if np.any(np.diff(x) < 0.0):
         raise InvalidEnsembleError("positions must be nondecreasing")
-    return v + kernel.big_phi(x[:, None] - x[None, :]) @ m
+    return v + kernel.convolve(x, x, m)
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,16 @@ class Ensemble:
         ``normalize`` the masses are rescaled to total 1; otherwise a total
         off by more than ``MASS_BUDGET_TOL`` is an error.
         """
+        return Ensemble._from_cells(
+            masses, positions, velocities,
+            lambda m, x, v: natural_velocities(m, x, v, kernel), normalize=normalize)
+
+    @staticmethod
+    def _from_cells(masses, positions, velocities, psi, *, normalize: bool) -> "Ensemble":
+        """Check raw cell arrays, then pre-merge exactly coincident cells.
+
+        ``psi`` is the cell psi, or a callable of the checked (m, x, v).
+        """
         m = np.array(masses, dtype=float)
         x = np.array(positions, dtype=float)
         v = np.array(velocities, dtype=float)
@@ -114,8 +130,8 @@ class Ensemble:
                                        "pass normalize=True to rescale")
         if np.any(np.diff(x) < 0.0):
             raise InvalidEnsembleError("positions must be nondecreasing")
-
-        psi = natural_velocities(m, x, v, kernel)
+        if callable(psi):
+            psi = psi(m, x, v)
 
         # pre-merge exactly coincident particles into clusters
         new_cluster = np.concatenate(([True], np.diff(x) > 0.0))
@@ -132,14 +148,11 @@ class Ensemble:
         ``cluster_velocities=None`` pools cell velocities too (construction
         time); the dynamics passes evolved per-cluster velocities instead.
         """
-        n_clusters = int(lineage[-1]) + 1
-        starts = np.searchsorted(lineage, np.arange(n_clusters), side="left")
-        stops = np.searchsorted(lineage, np.arange(n_clusters), side="right")
-        cm = np.array([np.sum(cell_m[a:b]) for a, b in zip(starts, stops)])
-        cpsi = np.array([np.sum(cell_m[a:b] * cell_psi[a:b]) for a, b in zip(starts, stops)]) / cm
+        starts = np.flatnonzero(np.diff(lineage, prepend=-1))
+        cm = _block_sums(cell_m, starts)
+        cpsi = _block_sums(cell_m * cell_psi, starts) / cm
         if cluster_velocities is None:
-            cluster_velocities = np.array(
-                [np.sum(cell_m[a:b] * cell_v[a:b]) for a, b in zip(starts, stops)]) / cm
+            cluster_velocities = _block_sums(cell_m * cell_v, starts) / cm
         return Ensemble(
             cell_masses=_frozen(cell_m),
             cell_positions=_frozen(cell_x),
@@ -210,41 +223,32 @@ class Ensemble:
         """Merge each half-open *cluster*-index run into one cluster.
 
         Pooled position and velocity are the mass-weighted means of the
-        participating clusters (the momentum-conserving inelastic rule);
-        pooled mass and psi are recomputed from the underlying cells.
+        participating clusters (the momentum-conserving inelastic rule); a
+        cluster in no run keeps its own values exactly.  Pooled mass and psi
+        are recomputed from the underlying cells.  Each quantity is one
+        :func:`_block_sums` over the first old cluster of every new one.
         """
         n = self.n_clusters
+        opens = np.ones(n, dtype=bool)  # old cluster i starts a new cluster
         prev_stop = 0
         for start, stop in runs:
             if not (0 <= start < stop <= n) or start < prev_stop:
                 raise InvalidEnsembleError(f"malformed merge run {(start, stop)!r}")
+            opens[start + 1:stop] = False
             prev_stop = stop
-        in_run_start = {a: b for a, b in runs}
-        new_positions = []
-        new_velocities = []
-        old_to_new = np.empty(n, dtype=np.intp)
-        i = 0
-        k = 0
-        while i < n:
-            if i in in_run_start:
-                j = in_run_start[i]
-                w = self.masses[i:j]
-                new_positions.append(float(np.sum(w * self.positions[i:j]) / np.sum(w)))
-                new_velocities.append(float(np.sum(w * self.velocities[i:j]) / np.sum(w)))
-                old_to_new[i:j] = k
-                i = j
-            else:
-                new_positions.append(float(self.positions[i]))
-                new_velocities.append(float(self.velocities[i]))
-                old_to_new[i] = k
-                i += 1
-            k += 1
-        lineage = old_to_new[self.lineage]
+        starts = np.flatnonzero(opens)
+        single = np.diff(starts, append=n) == 1
+        w = self.masses
+        mass = _block_sums(w, starts)
+
+        def pooled(a):
+            return np.where(single, a[starts], _block_sums(w * a, starts) / mass)
+
         return Ensemble._assemble(
             self.cell_masses, self.cell_positions, self.cell_velocities, self.cell_psi,
-            lineage,
-            cluster_positions=np.array(new_positions),
-            cluster_velocities=np.array(new_velocities),
+            (np.cumsum(opens) - 1)[self.lineage],
+            cluster_positions=pooled(self.positions),
+            cluster_velocities=pooled(self.velocities),
         )
 
     # -- measure-side views ---------------------------------------------
@@ -256,8 +260,7 @@ class Ensemble:
 
     def convolve_big_phi(self, kernel: Kernel, at):
         """(Phi * rho)(at) = sum_j m_j Phi(at - x_j); scalar or vectorized."""
-        pts = np.atleast_1d(np.asarray(at, dtype=float))
-        out = kernel.big_phi(pts[:, None] - self.positions[None, :]) @ self.masses
+        out = kernel.convolve(np.atleast_1d(at), self.positions, self.masses)
         if np.isscalar(at) or getattr(at, "ndim", 1) == 0:
             return float(out[0])
         return out
@@ -297,7 +300,3 @@ class QuantileFunction:
     def __call__(self, m):
         idx = np.searchsorted(self.breakpoints, m, side="right")
         return self.values[idx]
-
-    def integrate(self, f) -> float:
-        """Push-forward integral: int_0^1 f(X(m)) dm = sum_i m_i f(x_i)."""
-        return float(np.sum(self.cell_widths * np.asarray(f(self.values), dtype=float)))

@@ -128,6 +128,10 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def convolve(self, at, positions, masses) -> np.ndarray:
+        """(Phi * rho)(at_i) = sum_j m_j Phi(at_i - x_j) over 1-d arrays, densely."""
+        return self.big_phi(at[:, None] - positions[None, :]) @ masses
+
     def _check_inv_range(self, y: float) -> None:
         if y < 0.0:
             raise KernelRangeError(f"inverse primitive needs y >= 0, got {y}")

@@ -28,7 +28,6 @@ __all__ = [
     "cumulative_primitive",
     "project_subspace",
     "project_tangent_cone",
-    "runs_of_equal",
 ]
 
 
@@ -113,7 +112,10 @@ def project_monotone(values, weights=None) -> np.ndarray:
             swy[top - 2] += swy[top - 1]
             counts[top - 2] += counts[top - 1]
             top -= 1
-    return np.repeat(swy[:top] / sw[:top], counts[:top])
+    out = np.repeat(swy[:top] / sw[:top], counts[:top])
+    alone = np.repeat(counts[:top] == 1, counts[:top])
+    out[alone] = v[alone]  # an entry that pools with nothing is its own projection
+    return out
 
 
 def cumulative_primitive(values, weights=None) -> PiecewiseLinear:
@@ -200,16 +202,3 @@ def project_tangent_cone(values, blocks, weights=None) -> np.ndarray:
         out[start:stop] = project_monotone(v[start:stop], w[start:stop])
     return out
 
-
-def runs_of_equal(x, tol: float = 0.0) -> list[tuple[int, int]]:
-    """Maximal half-open index runs where consecutive entries differ by <= tol."""
-    xa = np.asarray(x, dtype=float)
-    runs = []
-    start = 0
-    for i in range(1, xa.size):
-        if abs(xa[i] - xa[i - 1]) > tol:
-            runs.append((start, i))
-            start = i
-    if xa.size:
-        runs.append((start, xa.size))
-    return runs

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MergeEvent, SimulationRecord
-from .ensemble import MASS_BUDGET_TOL, Ensemble
+from .ensemble import Ensemble
 from .exceptions import InvalidEnsembleError, RecordIOError
 from .flux import FluxAnalysis
 from .kernels import kernel_from_config, kernel_to_config
@@ -258,25 +258,15 @@ def ensemble_to_json(ensemble: Ensemble) -> dict:
 
 def _ensemble_from_arrays(m, x, v, psi, *, normalize: bool) -> Ensemble:
     """Rebuild an ensemble whose cells are the listed clusters themselves."""
-    arrays = [np.asarray(a, dtype=float) for a in (m, x, v, psi)]
-    m, x, v, psi = arrays
-    if any(a.ndim != 1 or a.size != m.size for a in arrays) or m.size == 0:
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != np.shape(m):
         raise RecordIOError("ensemble arrays must be equal-length, nonempty, 1-d")
-    if any(np.any(~np.isfinite(a)) for a in arrays):
+    if not np.all(np.isfinite(psi)):
         raise RecordIOError("ensemble state must be finite")
-    if np.any(m <= 0.0):
-        raise RecordIOError("masses must be strictly positive")
-    total = float(np.sum(m))
-    if normalize:
-        m = m / total
-    elif abs(total - 1.0) > MASS_BUDGET_TOL:
-        raise RecordIOError(f"masses must sum to 1 (got {total!r})")
-    if np.any(np.diff(x) < 0.0):
-        raise RecordIOError("positions must be nondecreasing")
-    new_cluster = np.concatenate(([True], np.diff(x) > 0.0))
-    lineage = np.cumsum(new_cluster) - 1
-    return Ensemble._assemble(m, x, v, psi, lineage,
-                              cluster_positions=x[new_cluster], cluster_velocities=None)
+    try:
+        return Ensemble._from_cells(m, x, v, psi, normalize=normalize)
+    except InvalidEnsembleError as exc:
+        raise RecordIOError(str(exc)) from exc
 
 
 def ensemble_from_json(data: dict, *, normalize: bool = False) -> Ensemble:

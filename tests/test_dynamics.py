@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from stickyalign import (
@@ -13,10 +15,13 @@ from stickyalign import (
     PowerLaw,
     Tolerances,
     Zero,
+    cumulative_primitive,
     drift,
+    lower_convex_envelope,
     simulate,
     step,
 )
+from stickyalign.dynamics import _cascade
 from tests.conftest import dyadic_masses, random_scenario
 
 
@@ -154,6 +159,91 @@ def test_sequential_collisions():
     final = rec.snapshots[-1]
     assert final.n_clusters == 1
     assert final.velocities[0] == pytest.approx(2 / 3, abs=1e-12)
+
+
+# -- the merge at one instant ---------------------------------------------
+
+EPS = 1e-3  # contact scale handed to _cascade: pairs within 2 EPS are in contact
+
+
+def at_instant(masses, positions, velocities) -> Ensemble:
+    """One cell per cluster, with exactly these positions and velocities."""
+    n = len(masses)
+    base = Ensemble.from_particles(masses, np.arange(float(n)), velocities, Zero(),
+                                   normalize=True)
+    return base.evolved(positions, velocities)
+
+
+def test_cascade_merges_overlapping_pair_even_if_separating():
+    ens = at_instant([0.25, 0.75], [0.5, 0.5 - 0.5 * EPS], [-1.0, 1.0])
+    post, events = _cascade(ens, 2.0, EPS)
+    assert post.n_clusters == 1
+    assert [(ev.first_index, ev.last_index, ev.time) for ev in events] == [(0, 1, 2.0)]
+    assert post.velocities[0] == pytest.approx(0.5, abs=1e-15)
+    assert post.positions[0] == pytest.approx(0.5 - 0.375 * EPS, abs=1e-15)
+
+
+def test_cascade_merges_contact_pair_with_equal_velocities():
+    # masses for which the mass-weighted means (m v) / m round apart
+    ens = at_instant([0.4, 0.6], [0.0, 1.5 * EPS], [0.7, 0.7])
+    post, events = _cascade(ens, 0.0, EPS)
+    assert post.n_clusters == 1 and len(events) == 1
+    assert events[0].pre_velocities == (0.7, 0.7)
+    assert post.velocities[0] == pytest.approx(0.7, abs=1e-15)
+
+
+def test_cascade_leaves_separating_contact_pair_apart():
+    ens = at_instant([0.5, 0.5], [0.0, 0.5 * EPS], [-0.1, 0.1])
+    post, events = _cascade(ens, 0.0, EPS)
+    assert events == [] and post is ens
+
+
+def test_cascade_chain_resolves_in_one_call():
+    # Pooling the closing pair gives 1.5 > 1.0, a new violation with the third
+    # cluster, whose gap to the pooled barycentre (2.4 EPS) is past contact.
+    ens = at_instant([1 / 3] * 3, [0.0, 1.8 * EPS, 3.3 * EPS], [3.0, 0.0, 1.0])
+    post, events = _cascade(ens, 0.0, EPS)
+    assert post.n_clusters == 1
+    assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 2)]
+    assert events[0].pre_velocities == (3.0, 0.0, 1.0)
+    assert events[0].post_velocity == pytest.approx(4 / 3, abs=1e-15)
+
+
+def test_cascade_overlap_whose_barycentre_crosses_a_neighbour_takes_it_in():
+    # clusters 1 and 2 overlap; their barycentre (-EPS) lies left of cluster 0
+    ens = at_instant([1 / 3] * 3, [0.0, 3.0 * EPS, -5.0 * EPS], [-1.0, 1.0, 1.0])
+    post, events = _cascade(ens, 0.0, EPS)
+    assert post.n_clusters == 1
+    assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 2)]
+    assert post.velocities[0] == pytest.approx(1 / 3, abs=1e-15)
+
+
+_gap = st.one_of(st.floats(0.05, 1.95).map(lambda g: g * EPS), st.just(1.0))
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), _gap),
+                min_size=2, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_cascade_is_the_isotonic_fit_on_each_contact_run(cells):
+    """Against the envelope route of monotone.py: after the merge, each cell
+    velocity of a contact run is the slope of the lower convex envelope of
+    the run's cumulative momentum over that cell, and momentum is conserved
+    run by run."""
+    weights, v, gaps = (np.array(c, dtype=float) for c in zip(*cells))
+    x = np.concatenate(([0.0], np.cumsum(gaps[1:])))
+    ens = at_instant(weights, x, v)
+    m = ens.masses
+    post, events = _cascade(ens, 0.0, EPS)
+    after = post.velocities[post.lineage]
+    cuts = np.flatnonzero(gaps[1:] > 2.0 * EPS) + 1
+    for a, b in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [v.size]))):
+        env = lower_convex_envelope(cumulative_primitive(v[a:b], m[a:b]))
+        nodes = np.concatenate(([0.0], np.cumsum(m[a:b])))
+        np.testing.assert_allclose(after[a:b], np.diff(env(nodes)) / m[a:b],
+                                   rtol=0, atol=1e-13)
+        assert np.sum(m[a:b] * after[a:b]) == pytest.approx(np.sum(m[a:b] * v[a:b]),
+                                                             rel=0, abs=1e-13)
+    assert post.n_clusters == v.size - sum(ev.last_index - ev.first_index for ev in events)
 
 
 def test_event_bookkeeping(rng):

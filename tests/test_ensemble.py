@@ -12,7 +12,7 @@ from stickyalign import (
     Zero,
     natural_velocities,
 )
-from tests.conftest import dyadic_masses, random_scenario
+from tests.conftest import KERNEL_POOL, dyadic_masses, random_scenario
 
 
 def test_natural_velocities_all_to_all_closed_form(rng):
@@ -116,6 +116,23 @@ class TestMerged:
         with pytest.raises(InvalidEnsembleError):
             ens.merged([(0, ens.n_clusters + 1)])
 
+    def test_pools_like_np_sum_and_keeps_other_clusters(self, rng):
+        n = 60
+        ens = Ensemble.from_particles(rng.uniform(0.1, 1.0, size=n), np.sort(rng.normal(size=n)),
+                                      rng.normal(size=n), Zero(), normalize=True)
+        runs = [(1, 6), (7, 11), (12, 18)]
+        out = ens.merged(runs)
+        lone_before = [0, 6, 11] + list(range(18, n))
+        lone_after = [0, 2, 4] + list(range(6, n - 12))
+        for k, (a, b) in zip((1, 3, 5), runs):  # one cell per cluster here
+            w = ens.masses[a:b]
+            assert out.masses[k] == np.sum(ens.cell_masses[a:b])
+            assert out.psi[k] == np.sum(w * ens.cell_psi[a:b]) / np.sum(w)
+            assert out.positions[k] == np.sum(w * ens.positions[a:b]) / np.sum(w)
+            assert out.velocities[k] == np.sum(w * ens.velocities[a:b]) / np.sum(w)
+        np.testing.assert_array_equal(out.positions[lone_after], ens.positions[lone_before])
+        np.testing.assert_array_equal(out.velocities[lone_after], ens.velocities[lone_before])
+
     def test_merge_all(self, rng):
         ens, _ = random_scenario(rng, 10)
         out = ens.merged([(0, ens.n_clusters)])
@@ -174,14 +191,6 @@ def test_to_quantile_step_semantics():
     np.testing.assert_allclose(q.cell_widths, [0.25, 0.25, 0.5])
 
 
-def test_quantile_integrate_pushforward(rng):
-    ens, _ = random_scenario(rng, 9)
-    q = ens.to_quantile()
-    # int x^2 dm = sum m_i x_i^2
-    direct = float(np.sum(ens.masses * ens.positions ** 2))
-    assert q.integrate(lambda x: x ** 2) == pytest.approx(direct, rel=1e-14)
-
-
 def test_quantile_validation():
     with pytest.raises(InvalidEnsembleError):
         QuantileFunction(np.array([0.5]), np.array([0.0]))  # size mismatch
@@ -193,11 +202,13 @@ def test_quantile_validation():
         QuantileFunction(np.array([0.0, 0.7]), np.array([0.0, 1.0, 2.0]))
 
 
-def test_convolve_big_phi(rng):
-    ens, _ = random_scenario(rng, 6)
-    k = Exponential(0.9)
-    at = np.array([-1.0, 0.3])
-    direct = [sum(mj * k.big_phi(a - xj) for mj, xj in zip(ens.masses, ens.positions))
+@pytest.mark.parametrize("kernel", KERNEL_POOL, ids=lambda k: type(k).__name__)
+def test_convolve_big_phi(rng, kernel):
+    ens, _ = random_scenario(rng, 6, kernel=kernel)
+    at = np.array([0.3, -1.0, 2.5, ens.positions[0], -0.2])  # unsorted, one on an atom
+    direct = [sum(mj * kernel.big_phi(a - xj) for mj, xj in zip(ens.masses, ens.positions))
               for a in at]
-    np.testing.assert_allclose(ens.convolve_big_phi(k, at), direct, rtol=1e-14)
-    assert ens.convolve_big_phi(k, 0.3) == pytest.approx(direct[1], rel=1e-14)
+    np.testing.assert_allclose(ens.convolve_big_phi(kernel, at), direct, rtol=1e-14)
+    np.testing.assert_allclose(kernel.convolve(at, ens.positions, ens.masses), direct,
+                               rtol=1e-14)
+    assert ens.convolve_big_phi(kernel, 0.3) == pytest.approx(direct[0], rel=1e-14)

@@ -17,7 +17,6 @@ from stickyalign import (
     project_subspace,
     project_tangent_cone,
 )
-from stickyalign.monotone import runs_of_equal
 
 
 def oracle_isotonic(values, weights):
@@ -232,9 +231,3 @@ def test_projection_norm_inequality(rng):
         out = project_tangent_cone(v, blocks, weights=w)
         assert np.sum(w * out ** 2) <= np.sum(w * v ** 2) + 1e-12
 
-
-def test_runs_of_equal():
-    assert runs_of_equal([1.0, 1.0, 2.0, 3.0, 3.0]) == [(0, 2), (2, 3), (3, 5)]
-    assert runs_of_equal([]) == []
-    assert runs_of_equal([5.0]) == [(0, 1)]
-    assert runs_of_equal([1.0, 1.05, 2.0], tol=0.1) == [(0, 2), (2, 3)]
