@@ -157,46 +157,6 @@ def _hermite(s, x0, v0, x1, v1, h):
     return h00 * x0 + (h10 * h) * v0 + h01 * x1 + (h11 * h) * v1
 
 
-def _pair_crossing(a, b, c, d, thr, s_tol):
-    """Earliest s in (0,1] where the Hermite cubic drops to <= thr.
-
-    The cubic is H(s) = a s^3 + b s^2 + c s + d with H(0) = d > thr.
-    Candidates are the interior critical points and s = 1; between
-    consecutive candidates H is monotone, so the first candidate at or below
-    the threshold brackets the first crossing.
-    """
-    def H(s):
-        return ((a * s + b) * s + c) * s + d
-
-    cands = []
-    qa, qb, qc = 3.0 * a, 2.0 * b, c
-    if qa != 0.0:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            # numerically stable quadratic roots (q == 0 only when all roots are 0)
-            q = -0.5 * (qb + math.copysign(r, qb))
-            roots = [q / qa] + ([qc / q] if q != 0.0 else [])
-            cands = sorted(s for s in roots if 0.0 < s < 1.0)
-    elif qb != 0.0:
-        s = -qc / qb
-        if 0.0 < s < 1.0:
-            cands = [s]
-    lo = 0.0
-    for s in cands + [1.0]:
-        if H(s) <= thr:
-            hi = s
-            while hi - lo > s_tol:
-                mid = 0.5 * (lo + hi)
-                if H(mid) <= thr:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        lo = s
-    return None
-
-
 def _first_trigger(x0, v0, x1, v1, h, eps, s_tol):
     """Earliest contact trigger across all adjacent gaps, or None.
 
@@ -204,24 +164,52 @@ def _first_trigger(x0, v0, x1, v1, h, eps, s_tol):
     it; gaps already inside the contact zone (left there by a previous
     cascade because they were separating) trigger only on actual overlap, so
     a kissing-but-separating pair cannot stall the integration.
+
+    Each gap follows the Hermite cubic H(s) = a s^3 + b s^2 + c s + d, with
+    H(0) = d above its threshold.  Its candidates are the interior critical
+    points and s = 1; between consecutive candidates H is monotone, so the
+    first candidate at or below the threshold ends the bracket of the gap's
+    first crossing.  A bracket that opens at or after the smallest bracket end
+    cannot hold the earliest crossing; only the others are bisected.
     """
-    g0 = np.diff(x0)
+    d = np.diff(x0)
     g1 = np.diff(x1)
     dg0 = np.diff(v0)
     dg1 = np.diff(v1)
     # power-basis coefficients of the Hermite cubic per gap
-    ca = 2.0 * g0 + h * dg0 - 2.0 * g1 + h * dg1
-    cb = -3.0 * g0 - 2.0 * h * dg0 + 3.0 * g1 - h * dg1
-    cc = h * dg0
-    best = None
-    for i in range(g0.size):
-        thr = eps if g0[i] > eps else 0.0
-        if g0[i] <= thr:  # already at/below the floor (separating contact)
-            continue
-        s = _pair_crossing(ca[i], cb[i], cc[i], g0[i], thr, s_tol)
-        if s is not None and (best is None or s < best):
-            best = s
-    return best
+    a = 2.0 * d + h * dg0 - 2.0 * g1 + h * dg1
+    b = -3.0 * d - 2.0 * h * dg0 + 3.0 * g1 - h * dg1
+    c = h * dg0
+    thr = np.where(d > eps, eps, 0.0)
+    # critical points: the stable roots of H' = qa s^2 + qb s + c, or the root
+    # of its linear form where qa == 0; a root that is missing (disc < 0,
+    # division by zero) or outside (0, 1) becomes the endpoint s = 1
+    qa, qb = 3.0 * a, 2.0 * b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * c), qb))
+        roots = np.where(qa != 0.0, [q / qa, c / q], -c / qb)
+    roots = np.where((0.0 < roots) & (roots < 1.0), roots, 1.0)
+    nodes = np.vstack([np.zeros_like(d), np.sort(roots, axis=0), np.ones_like(d)])
+    s = nodes[1:]
+    below = ((a * s + b) * s + c) * s + d <= thr
+    # gaps at/below their floor already (separating contacts) never trigger
+    gaps = np.flatnonzero((d > thr) & below.any(axis=0))
+    if gaps.size == 0:
+        return None
+    k = np.argmax(below[:, gaps], axis=0)
+    lo, hi = nodes[k, gaps], nodes[k + 1, gaps]
+    keep = lo < hi.min()
+    cubics = np.stack([a, b, c, d, thr])[:, gaps[keep]].T.tolist()
+    crossings = []
+    for (ai, bi, ci, di, ti), lo_i, hi_i in zip(cubics, lo[keep].tolist(), hi[keep].tolist()):
+        while hi_i - lo_i > s_tol:
+            mid = 0.5 * (lo_i + hi_i)
+            if ((ai * mid + bi) * mid + ci) * mid + di <= ti:
+                hi_i = mid
+            else:
+                lo_i = mid
+        crossings.append(hi_i)
+    return min(crossings)
 
 
 def _runs(pairs: np.ndarray) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ convention merging never touches the conserved cell data at all.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,17 +208,7 @@ class Ensemble:
         x = _frozen(positions)
         if x.shape != self.positions.shape:
             raise InvalidEnsembleError("evolved positions must keep the cluster count")
-        return Ensemble(
-            cell_masses=self.cell_masses,
-            cell_positions=self.cell_positions,
-            cell_velocities=self.cell_velocities,
-            cell_psi=self.cell_psi,
-            lineage=self.lineage,
-            masses=self.masses,
-            positions=x,
-            velocities=_frozen(velocities),
-            psi=self.psi,
-        )
+        return dataclasses.replace(self, positions=x, velocities=_frozen(velocities))
 
     def merged(self, runs: list[tuple[int, int]]) -> "Ensemble":
         """Merge each half-open *cluster*-index run into one cluster.

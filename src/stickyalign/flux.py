@@ -33,7 +33,7 @@ import numpy as np
 from .ensemble import Ensemble, QuantileFunction
 from .exceptions import KernelRangeError
 from .kernels import Kernel
-from .monotone import PiecewiseLinear, lower_convex_envelope
+from .monotone import PiecewiseLinear, cumulative_primitive, lower_convex_envelope
 
 __all__ = [
     "RegionLabel",
@@ -111,9 +111,7 @@ class FlockingThresholds:
 def build_flux(ensemble: Ensemble) -> PiecewiseLinear:
     """Flux A on the original cell grid: nodes at cumulative cell masses,
     slopes the cell natural velocities, A(0) = 0."""
-    nodes = np.concatenate(([0.0], np.cumsum(ensemble.cell_masses)))
-    values = np.concatenate(([0.0], np.cumsum(ensemble.cell_masses * ensemble.cell_psi)))
-    return PiecewiseLinear(nodes, values)
+    return cumulative_primitive(ensemble.cell_psi, ensemble.cell_masses)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,9 @@ class Zero(Kernel):
     def w_phi(self, x):
         return _maybe_scalar(x, np.zeros_like(np.asarray(x, dtype=float)))
 
+    def convolve(self, at, positions, masses) -> np.ndarray:
+        return np.zeros(len(at))
+
     @property
     def big_phi_sup(self) -> float:
         return 0.0

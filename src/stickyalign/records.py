@@ -234,7 +234,11 @@ def load_record(directory) -> SimulationRecord:
                 raise RecordIOError(
                     f"accumulators.csv at t={t}: cell_id must run 0..{n_cells - 1}")
             phi[k] = [float(r["phi_integral"]) for r in rows]
-            v2[k] = float(rows[0]["v_norm2_integral"])
+            v2_rows = {float(r["v_norm2_integral"]) for r in rows}
+            if len(v2_rows) != 1:
+                raise RecordIOError(
+                    f"accumulators.csv at t={t}: v_norm2_integral differs between rows")
+            v2[k] = v2_rows.pop()
         phi_integrals = phi
         v2_integrals = v2
 

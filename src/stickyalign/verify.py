@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import MergeEvent, SimulationRecord, simulate
 from .ensemble import Ensemble
 from .exceptions import InvalidScenarioError
-from .flux import FluxAnalysis, Regime, flocking_thresholds
+from .flux import FluxAnalysis, Regime, build_flux, flocking_thresholds
 from .kernels import Kernel
 from .metrics import energy, velocity_semidistance, wasserstein
 from .monotone import project_monotone
@@ -127,8 +127,8 @@ def check_oleinik_entropy(record: SimulationRecord, t: float,
     snap = record.snapshot_at(t)
     if tolerance is None:
         tolerance = default_tolerance(snap.cell_psi)
-    nodes = np.concatenate(([0.0], np.cumsum(snap.cell_masses)))
-    A = np.concatenate(([0.0], np.cumsum(snap.cell_masses * snap.cell_psi)))
+    flux = build_flux(snap)
+    nodes, A = flux.nodes, flux.values
     worst = -math.inf
     for (a, b), psi in zip(snap.cluster_cell_ranges(), snap.psi):
         if b - a < 2:

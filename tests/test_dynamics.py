@@ -21,7 +21,7 @@ from stickyalign import (
     simulate,
     step,
 )
-from stickyalign.dynamics import _cascade
+from stickyalign.dynamics import _cascade, _first_trigger, _hermite
 from tests.conftest import dyadic_masses, random_scenario
 
 
@@ -244,6 +244,64 @@ def test_cascade_is_the_isotonic_fit_on_each_contact_run(cells):
         assert np.sum(m[a:b] * after[a:b]) == pytest.approx(np.sum(m[a:b] * v[a:b]),
                                                              rel=0, abs=1e-13)
     assert post.n_clusters == v.size - sum(ev.last_index - ev.first_index for ev in events)
+
+
+# -- first-contact trigger ------------------------------------------------
+
+TRIG_EPS = 1e-3
+TRIG_S_TOL = 1e-12
+TRIG_GRID = np.linspace(0.0, 1.0, 2049)[1:]
+TRIG_SLACK = 1e-9  # rounding of the Hermite basis against the power basis
+
+
+def hermite_gaps(s, x0, v0, x1, v1, h):
+    """Adjacent gaps of the dense output at each s (rows) and gap (columns)."""
+    return np.diff(_hermite(np.asarray(s, dtype=float)[:, None], x0, v0, x1, v1, h), axis=1)
+
+
+_coord = st.floats(-10.0, 10.0)
+
+
+@given(st.lists(st.tuples(st.one_of(st.floats(0.0, 2.0 * TRIG_EPS), st.floats(0.0, 2.0)),
+                          _coord, _coord, _coord), min_size=2, max_size=8),
+       st.floats(1e-3, 10.0))
+@settings(max_examples=400, deadline=None)
+def test_first_trigger_against_dense_grid(cells, h):
+    """Against H sampled on a grid of (0, 1]: no trigger means no live gap
+    reaches its threshold at a grid point; a trigger s means some live gap
+    is at its threshold at s and none reaches it at a grid point before."""
+    gaps, v0, v1, x1 = (np.array(c, dtype=float) for c in zip(*cells))
+    x0 = np.cumsum(gaps)
+    d = np.diff(x0)
+    thr = np.where(d > TRIG_EPS, TRIG_EPS, 0.0)
+    live = d > thr
+    s = _first_trigger(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL)
+    reached = (hermite_gaps(TRIG_GRID, x0, v0, x1, v1, h) <= thr - TRIG_SLACK)[:, live]
+    if s is None:
+        assert not reached.any()
+        return
+    assert 0.0 < s <= 1.0
+    assert np.any((hermite_gaps([s], x0, v0, x1, v1, h)[0] <= thr + TRIG_SLACK)[live])
+    assert not reached[TRIG_GRID < s - TRIG_S_TOL].any()
+
+
+def test_first_trigger_finds_a_dip_between_grid_points():
+    # gap(s) = thr - delta + (s - c)^2 (1 + s - c): its only interior critical
+    # point c lies halfway between two grid points, and the gap is below thr
+    # only for |s - c| < 3.2e-5, a seventh of the grid spacing
+    delta = 1e-9
+    c = (1000 + 0.5) / TRIG_GRID.size
+    u = np.polynomial.Polynomial([-c, 1.0])
+    gap = u * u * (1.0 + u) + (TRIG_EPS - delta)
+    slope = gap.deriv()
+    h = 1.0
+    x0, x1 = np.array([0.0, gap(0.0)]), np.array([0.0, gap(1.0)])
+    v0, v1 = np.array([0.0, slope(0.0) / h]), np.array([0.0, slope(1.0) / h])
+    assert np.all(hermite_gaps(TRIG_GRID, x0, v0, x1, v1, h) > TRIG_EPS)
+    crossing = min(r.real for r in (gap - TRIG_EPS).roots() if abs(r.imag) < 1e-12 and r.real > 0)
+    s = _first_trigger(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL)
+    assert s == pytest.approx(crossing, abs=1e-9)
+    assert c - 3.2e-5 < s < c
 
 
 def test_event_bookkeeping(rng):

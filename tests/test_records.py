@@ -1,6 +1,7 @@
 """Disk round-trips: bit-exactness, event replay, and malformed-input errors."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ def test_accumulator_time_mismatch(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
     _tamper(tmp_path / "accumulators.csv", "\n1,", "\n1.5,", count=1)
     with pytest.raises(RecordIOError):
+        load_record(tmp_path)
+
+
+def test_accumulator_rows_disagree(eventful_record, tmp_path):
+    # the last row of the last time is a cell other than the first
+    save_record(eventful_record, tmp_path)
+    path = tmp_path / "accumulators.csv"
+    *head, last = path.read_text().splitlines()
+    t, cell_id, phi, v2 = last.split(",")
+    path.write_text("\n".join(head + [f"{t},{cell_id},{phi},{float(v2) + 1.0!r}"]) + "\n")
+    with pytest.raises(RecordIOError, match=re.escape(f"t={float(t)}")):
         load_record(tmp_path)
 
 
