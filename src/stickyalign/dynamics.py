@@ -248,15 +248,15 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
 
     post = ens.merged(blocks)
     starts, stops = np.array(blocks).T
-    firsts = np.searchsorted(ens.lineage, starts)
-    lasts = np.searchsorted(ens.lineage, stops) - 1
+    firsts = ens.starts[starts]
+    lasts = ens.bounds[stops] - 1
     events = [MergeEvent(time=t_ev, first_index=first, last_index=last,
                          post_velocity=float(post.velocities[k]),
                          post_psi=float(post.psi[k]),
                          pre_velocities=tuple(ens.velocities[a:b].tolist()),
                          pre_masses=tuple(m[a:b].tolist()))
               for (a, b), first, last, k in zip(blocks, firsts.tolist(), lasts.tolist(),
-                                                post.lineage[firsts].tolist())]
+                                                post.starts.searchsorted(firsts).tolist())]
     return post, events
 
 

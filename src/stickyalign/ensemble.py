@@ -11,15 +11,17 @@ reduced first-order dynamics: between collisions each cluster's psi is
 constant, and at a collision the merged cluster's psi is the mass-weighted
 mean of its constituents.
 
-Cluster masses and cluster psi are always *recomputed from the cell arrays*
-(one canonical arithmetic path) rather than updated incrementally; with this
-convention merging never touches the conserved cell data at all.
+A cluster is a run of consecutive cells, stored once as ``starts``, its first
+cell.  Cluster mass and psi are pooled from the cells with ``np.sum``, never
+updated incrementally: a merge re-pools its merged blocks from their own cells
+and carries every other cluster over, never touching the conserved cell data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +44,8 @@ def _block_sums(a, starts) -> np.ndarray:
     return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(starts.size))
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -74,8 +76,9 @@ class Ensemble:
     ----------
     cell_masses, cell_positions, cell_velocities, cell_psi
         Original particle data, frozen at construction.
-    lineage
-        Cell index -> cluster index; nondecreasing and surjective.
+    starts
+        First cell index of each cluster: ``starts[0] == 0``, strictly
+        increasing, one entry per cluster.
     masses, positions, velocities, psi
         Per-cluster state.  ``positions`` strictly increasing across clusters;
         ``masses`` and ``psi`` are the cellwise sums/means of their block.
@@ -85,7 +88,7 @@ class Ensemble:
     cell_positions: np.ndarray
     cell_velocities: np.ndarray
     cell_psi: np.ndarray
-    lineage: np.ndarray
+    starts: np.ndarray
     masses: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
@@ -135,21 +138,19 @@ class Ensemble:
             psi = psi(m, x, v)
 
         # pre-merge exactly coincident particles into clusters
-        new_cluster = np.concatenate(([True], np.diff(x) > 0.0))
-        lineage = np.cumsum(new_cluster) - 1
-        return Ensemble._assemble(m, x, v, psi, lineage,
-                                  cluster_positions=x[new_cluster],
+        starts = np.flatnonzero(np.diff(x, prepend=-np.inf) > 0.0)
+        return Ensemble._assemble(m, x, v, psi, starts,
+                                  cluster_positions=x[starts],
                                   cluster_velocities=None)
 
     @staticmethod
-    def _assemble(cell_m, cell_x, cell_v, cell_psi, lineage,
+    def _assemble(cell_m, cell_x, cell_v, cell_psi, starts,
                   cluster_positions, cluster_velocities) -> "Ensemble":
-        """Common path: pool cluster mass/psi from cells along ``lineage``.
+        """Common path: pool every cluster's mass/psi from its cells.
 
         ``cluster_velocities=None`` pools cell velocities too (construction
-        time); the dynamics passes evolved per-cluster velocities instead.
+        time); a loaded record passes its saved cluster velocities instead.
         """
-        starts = np.flatnonzero(np.diff(lineage, prepend=-1))
         cm = _block_sums(cell_m, starts)
         cpsi = _block_sums(cell_m * cell_psi, starts) / cm
         if cluster_velocities is None:
@@ -159,7 +160,7 @@ class Ensemble:
             cell_positions=_frozen(cell_x),
             cell_velocities=_frozen(cell_v),
             cell_psi=_frozen(cell_psi),
-            lineage=np.asarray(lineage, dtype=np.intp),
+            starts=_frozen(starts, np.intp),
             masses=_frozen(cm),
             positions=_frozen(cluster_positions),
             velocities=_frozen(cluster_velocities),
@@ -176,12 +177,20 @@ class Ensemble:
     def n_clusters(self) -> int:
         return self.masses.size
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """Cluster k holds the cells ``bounds[k]:bounds[k + 1]``."""
+        return np.append(self.starts, self.n_cells)
+
+    @cached_property
+    def lineage(self) -> np.ndarray:
+        """Cell index -> cluster index (read-only, derived from ``starts``)."""
+        return _frozen(np.repeat(np.arange(self.n_clusters), np.diff(self.bounds)), np.intp)
+
     def cluster_cell_ranges(self) -> list[tuple[int, int]]:
         """Half-open cell index range of each cluster, in order."""
-        idx = np.arange(self.n_clusters)
-        starts = np.searchsorted(self.lineage, idx, side="left")
-        stops = np.searchsorted(self.lineage, idx, side="right")
-        return list(zip(starts.tolist(), stops.tolist()))
+        b = self.bounds.tolist()
+        return list(zip(b[:-1], b[1:]))
 
     def validate(self) -> None:
         """Re-check all structural invariants; raise on violation."""
@@ -189,17 +198,16 @@ class Ensemble:
             raise InvalidEnsembleError("cell masses must sum to 1")
         if np.any(np.diff(self.positions) <= 0.0):
             raise InvalidEnsembleError("cluster positions must be strictly increasing")
-        lin = self.lineage
-        if lin[0] != 0 or np.any(np.diff(lin) < 0) or np.any(np.diff(lin) > 1):
-            raise InvalidEnsembleError("lineage must be nondecreasing, surjective, gap-free")
-        if int(lin[-1]) + 1 != self.n_clusters:
-            raise InvalidEnsembleError("lineage range must match cluster count")
-        for (a, b), mass, psi in zip(self.cluster_cell_ranges(), self.masses, self.psi):
-            if abs(np.sum(self.cell_masses[a:b]) - mass) > 1e-12:
-                raise InvalidEnsembleError("cluster mass must pool its cells")
-            pooled = np.sum(self.cell_masses[a:b] * self.cell_psi[a:b]) / np.sum(self.cell_masses[a:b])
-            if abs(pooled - psi) > 1e-12 * (1.0 + abs(pooled)):
-                raise InvalidEnsembleError("cluster psi must be the pooled cell psi")
+        if (self.starts.size != self.n_clusters or self.starts[:1].tolist() != [0]
+                or np.any(np.diff(self.bounds) <= 0)):
+            raise InvalidEnsembleError("starts must begin at 0 and increase strictly "
+                                       "below n_cells, one per cluster")
+        mass = _block_sums(self.cell_masses, self.starts)
+        if np.any(np.abs(mass - self.masses) > 1e-12):
+            raise InvalidEnsembleError("cluster mass must pool its cells")
+        pooled = _block_sums(self.cell_masses * self.cell_psi, self.starts) / mass
+        if np.any(np.abs(pooled - self.psi) > 1e-12 * (1.0 + np.abs(pooled))):
+            raise InvalidEnsembleError("cluster psi must be the pooled cell psi")
 
     # -- evolution helpers ----------------------------------------------
 
@@ -214,33 +222,32 @@ class Ensemble:
         """Merge each half-open *cluster*-index run into one cluster.
 
         Pooled position and velocity are the mass-weighted means of the
-        participating clusters (the momentum-conserving inelastic rule); a
-        cluster in no run keeps its own values exactly.  Pooled mass and psi
-        are recomputed from the underlying cells.  Each quantity is one
-        :func:`_block_sums` over the first old cluster of every new one.
+        participating clusters (the momentum-conserving inelastic rule), pooled
+        mass and psi those of the run's own cells, each one ``np.sum``; a
+        cluster in no run, or in a run of one, is carried over exactly.
         """
         n = self.n_clusters
-        opens = np.ones(n, dtype=bool)  # old cluster i starts a new cluster
+        keep = np.ones(n, dtype=bool)  # old cluster i starts a new cluster
+        masses, positions, velocities, psi = (
+            a.copy() for a in (self.masses, self.positions, self.velocities, self.psi))
+        bounds = self.bounds
         prev_stop = 0
         for start, stop in runs:
             if not (0 <= start < stop <= n) or start < prev_stop:
                 raise InvalidEnsembleError(f"malformed merge run {(start, stop)!r}")
-            opens[start + 1:stop] = False
             prev_stop = stop
-        starts = np.flatnonzero(opens)
-        single = np.diff(starts, append=n) == 1
-        w = self.masses
-        mass = _block_sums(w, starts)
-
-        def pooled(a):
-            return np.where(single, a[starts], _block_sums(w * a, starts) / mass)
-
-        return Ensemble._assemble(
-            self.cell_masses, self.cell_positions, self.cell_velocities, self.cell_psi,
-            (np.cumsum(opens) - 1)[self.lineage],
-            cluster_positions=pooled(self.positions),
-            cluster_velocities=pooled(self.velocities),
-        )
+            if stop - start > 1:
+                keep[start + 1:stop] = False
+                w = self.masses[start:stop]
+                positions[start] = np.sum(w * self.positions[start:stop]) / np.sum(w)
+                velocities[start] = np.sum(w * self.velocities[start:stop]) / np.sum(w)
+                a, b = bounds[start], bounds[stop]
+                masses[start] = np.sum(self.cell_masses[a:b])
+                psi[start] = np.sum(self.cell_masses[a:b] * self.cell_psi[a:b]) / masses[start]
+        return dataclasses.replace(
+            self, starts=_frozen(self.starts[keep], np.intp), masses=_frozen(masses[keep]),
+            positions=_frozen(positions[keep]), velocities=_frozen(velocities[keep]),
+            psi=_frozen(psi[keep]))
 
     # -- measure-side views ---------------------------------------------
 

@@ -3,11 +3,14 @@
 A saved run is a directory with ``snapshots.csv``, ``events.csv``,
 ``accumulators.csv`` and ``metadata.json``.  The manifest carries the kernel
 configuration and the immutable cell data; the CSV tables carry everything
-time-dependent.  All floating-point columns use 17 significant digits so a
-save/load cycle is bit-exact, which the golden regression tests rely on.
+time-dependent.  ``accumulators.csv`` has one row per snapshot time, with the
+columns ``t, v_norm2_integral, phi_0 ... phi_{N-1}`` (one per cell).  All
+floating-point columns use 17 significant digits so a save/load cycle is
+bit-exact, which the golden regression tests rely on.
 
 Loading replays the merge events over the cell grid to rebuild each
-snapshot's lineage, so the cluster/cell bookkeeping of a loaded record
+snapshot's ``starts`` (an event ``[first_index, last_index]`` removes the
+cluster starts inside it), so a loaded record's cluster/cell bookkeeping
 matches the in-memory one.  Cluster velocities at event instants are not
 serialized, hence loaded :class:`~stickyalign.dynamics.MergeEvent` objects
 have ``pre_velocities=None``.
@@ -39,12 +42,15 @@ __all__ = [
 
 SNAPSHOT_FIELDS = ("t", "cluster_id", "mass", "position", "velocity", "psi")
 EVENT_FIELDS = ("t", "first_index", "last_index", "post_velocity", "post_psi")
-ACCUMULATOR_FIELDS = ("t", "cell_id", "phi_integral", "v_norm2_integral")
 ENSEMBLE_FIELDS = ("cluster_id", "mass", "position", "velocity", "psi")
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _accumulator_fields(n_cells: int) -> tuple[str, ...]:
+    return ("t", "v_norm2_integral") + tuple(f"phi_{i}" for i in range(n_cells))
 
 
 def _write_csv(path: Path, fields, rows) -> None:
@@ -88,12 +94,9 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
                  _fmt(ev.post_velocity), _fmt(ev.post_psi)) for ev in record.events])
 
     if record.phi_integrals is not None and record.v2_integrals is not None:
-        rows = []
-        for k, t in enumerate(record.times):
-            for i in range(record.initial.n_cells):
-                rows.append((_fmt(t), i, _fmt(record.phi_integrals[k, i]),
-                             _fmt(record.v2_integrals[k])))
-        _write_csv(d / "accumulators.csv", ACCUMULATOR_FIELDS, rows)
+        _write_csv(d / "accumulators.csv", _accumulator_fields(record.initial.n_cells),
+                   [[_fmt(t), _fmt(v2), *map(_fmt, phi)] for t, v2, phi in
+                    zip(record.times, record.v2_integrals, record.phi_integrals)])
 
     init = record.initial
     meta = {
@@ -115,22 +118,21 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
     return d
 
 
-def _group_by_time(rows, what: str):
-    """Split consecutive rows sharing a ``t`` value; returns [(t, rows)]."""
+def _group_by_time(rows):
+    """Split consecutive snapshot rows sharing a ``t`` value; returns [(t, rows)]."""
     groups: list[tuple[float, list[dict]]] = []
     for row in rows:
         t = float(row["t"])
         if not groups or groups[-1][0] != t:
             if groups and t <= groups[-1][0]:
-                raise RecordIOError(f"{what}: times must be strictly increasing (at t={t})")
+                raise RecordIOError(f"snapshots.csv: times must be strictly increasing (at t={t})")
             groups.append((t, []))
         groups[-1][1].append(row)
     return groups
 
 
-def _snapshot_from_rows(cells, bonds, t, rows) -> Ensemble:
-    lineage = np.concatenate(([0], np.cumsum(~bonds)))
-    n_clusters = int(lineage[-1]) + 1
+def _snapshot_from_rows(cells, starts, t, rows) -> Ensemble:
+    n_clusters = starts.size
     if len(rows) != n_clusters:
         raise RecordIOError(
             f"snapshot at t={t}: {len(rows)} rows but event replay gives "
@@ -140,7 +142,7 @@ def _snapshot_from_rows(cells, bonds, t, rows) -> Ensemble:
         raise RecordIOError(f"snapshot at t={t}: cluster_id must run 0..{n_clusters - 1}")
     positions = np.array([float(r["position"]) for r in rows])
     velocities = np.array([float(r["velocity"]) for r in rows])
-    snap = Ensemble._assemble(*cells, lineage,
+    snap = Ensemble._assemble(*cells, starts,
                               cluster_positions=positions, cluster_velocities=velocities)
     for row, mass, psi in zip(rows, snap.masses, snap.psi):
         if abs(float(row["mass"]) - mass) > 1e-9 * (1.0 + abs(mass)):
@@ -155,12 +157,13 @@ def _snapshot_from_rows(cells, bonds, t, rows) -> Ensemble:
 def load_record(directory) -> SimulationRecord:
     """Rebuild a :class:`SimulationRecord` saved by :func:`save_record`.
 
-    Snapshot lineages are replayed from the event table: at each snapshot the
-    replay consumes events (in file order) until the cluster count matches
-    the snapshot's row count, so events recorded exactly at a node land on
-    the correct side.  A missing ``accumulators.csv`` loads with the
-    integral fields set to ``None``; anything else missing or inconsistent
-    raises :class:`RecordIOError`.
+    Snapshot partitions are replayed from the event table: at each snapshot
+    the replay consumes events (in file order) until the cluster count
+    matches the snapshot's row count, so events recorded exactly at a node
+    land on the correct side.  An event left over after the last snapshot is
+    an error.  A missing ``accumulators.csv`` loads with the integral fields
+    set to ``None``; anything else missing or inconsistent raises
+    :class:`RecordIOError`.
     """
     d = Path(directory)
     try:
@@ -190,8 +193,7 @@ def load_record(directory) -> SimulationRecord:
                              post_velocity=float(r["post_velocity"]),
                              post_psi=float(r["post_psi"]))
                   for r in _read_csv(d / "events.csv", EVENT_FIELDS)]
-        snapshot_groups = _group_by_time(
-            _read_csv(d / "snapshots.csv", SNAPSHOT_FIELDS), "snapshots.csv")
+        snapshot_groups = _group_by_time(_read_csv(d / "snapshots.csv", SNAPSHOT_FIELDS))
     except (KeyError, ValueError) as exc:
         raise RecordIOError(f"malformed record table: {exc}") from exc
     if not snapshot_groups:
@@ -201,46 +203,40 @@ def load_record(directory) -> SimulationRecord:
             raise RecordIOError(f"event at t={ev.time}: bad cell range "
                                 f"[{ev.first_index}, {ev.last_index}]")
 
-    # replay the merge events over the cell bond structure
-    bonds = lineage0[1:] == lineage0[:-1]
+    # replay the merge events: an event clears the cluster starts inside it
+    opens = np.concatenate(([True], lineage0[1:] != lineage0[:-1]))
     cursor = 0
     times = []
     snapshots = []
     for t, rows in snapshot_groups:
-        while cursor < len(events) and int(np.sum(~bonds)) + 1 > len(rows):
+        while cursor < len(events) and np.count_nonzero(opens) > len(rows):
             ev = events[cursor]
             if ev.time > t + 1e-9 * max(1.0, abs(t)):
                 break
-            bonds = bonds.copy()
-            bonds[ev.first_index:ev.last_index] = True
+            opens[ev.first_index + 1:ev.last_index + 1] = False
             cursor += 1
         try:
-            snapshots.append(_snapshot_from_rows(cells, bonds, t, rows))
+            snapshots.append(_snapshot_from_rows(cells, np.flatnonzero(opens), t, rows))
         except InvalidEnsembleError as exc:
             raise RecordIOError(f"snapshot at t={t}: {exc}") from exc
         times.append(t)
+    if cursor < len(events):
+        raise RecordIOError(f"event at t={events[cursor].time} is not reflected in any "
+                            "snapshot (event replay ended at the last snapshot)")
 
     phi_integrals = None
     v2_integrals = None
     if (d / "accumulators.csv").exists():
-        acc_groups = _group_by_time(
-            _read_csv(d / "accumulators.csv", ACCUMULATOR_FIELDS), "accumulators.csv")
-        if [t for t, _ in acc_groups] != times:
+        fields = _accumulator_fields(n_cells)
+        rows = _read_csv(d / "accumulators.csv", fields)
+        try:
+            table = np.array([[float(r[f]) for f in fields] for r in rows])
+        except (TypeError, ValueError) as exc:
+            raise RecordIOError(f"malformed accumulators.csv: {exc}") from exc
+        if table.shape != (len(times), len(fields)) or table[:, 0].tolist() != times:
             raise RecordIOError("accumulators.csv times do not match snapshots.csv")
-        phi = np.empty((len(times), n_cells))
-        v2 = np.empty(len(times))
-        for k, (t, rows) in enumerate(acc_groups):
-            if [int(r["cell_id"]) for r in rows] != list(range(n_cells)):
-                raise RecordIOError(
-                    f"accumulators.csv at t={t}: cell_id must run 0..{n_cells - 1}")
-            phi[k] = [float(r["phi_integral"]) for r in rows]
-            v2_rows = {float(r["v_norm2_integral"]) for r in rows}
-            if len(v2_rows) != 1:
-                raise RecordIOError(
-                    f"accumulators.csv at t={t}: v_norm2_integral differs between rows")
-            v2[k] = v2_rows.pop()
-        phi_integrals = phi
-        v2_integrals = v2
+        v2_integrals = table[:, 1]
+        phi_integrals = table[:, 2:]
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0],
                             times=np.array(times), snapshots=snapshots, events=events,

@@ -172,14 +172,14 @@ def check_projection_formula(record: SimulationRecord, t: float,
 def check_stickiness(record: SimulationRecord) -> CheckResult:
     """Cluster partitions are nested in time: merged cells never split.
 
-    Exact (tolerance 0); the residual counts offending cluster/time pairs.
+    Partitions are nested exactly when every later cluster start is an
+    earlier one.  Exact (tolerance 0); the residual counts the earlier
+    clusters that a later start splits, summed over consecutive snapshots.
     """
     violations = 0
     for earlier, later in zip(record.snapshots, record.snapshots[1:]):
-        lin_t = later.lineage
-        for a, b in earlier.cluster_cell_ranges():
-            if np.any(lin_t[a:b] != lin_t[a]):
-                violations += 1
+        foreign = np.setdiff1d(later.starts, earlier.starts)
+        violations += np.unique(np.searchsorted(earlier.starts, foreign, side="right")).size
     return _result("stickiness", float(violations), 0.0)
 
 
@@ -221,11 +221,6 @@ def check_dissipation(record: SimulationRecord,
 # -- flocking -----------------------------------------------------------
 
 
-def _cell_range_positions(snap: Ensemble, cells: tuple[int, int]) -> np.ndarray:
-    a, b = cells
-    return snap.positions[snap.lineage[a:b]]
-
-
 def _center_of_mass(snap: Ensemble, cells: tuple[int, int]) -> float:
     a, b = cells
     m = snap.cell_masses[a:b]
@@ -257,8 +252,8 @@ def check_flocking(record: SimulationRecord, analysis: FluxAnalysis,
             residual = float(np.max(required - gaps))
             obs["min_margin"] = -residual
         else:
-            edges = np.array([_cell_range_positions(s, sg2.cells)[-1]
-                              - _cell_range_positions(s, sg1.cells)[0]
+            edges = np.array([s.positions[s.lineage[sg2.cells[1] - 1]]
+                              - s.positions[s.lineage[sg1.cells[0]]]
                               for s in record.snapshots])
             obs["final_distance"] = float(edges[-1])
             if th.upper is None:

@@ -1,7 +1,11 @@
 """Ensemble construction, pooling invariants, and the quantile view."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickyalign import (
     AllToAll,
@@ -12,6 +16,7 @@ from stickyalign import (
     Zero,
     natural_velocities,
 )
+from stickyalign.ensemble import _block_sums
 from tests.conftest import KERNEL_POOL, dyadic_masses, random_scenario
 
 
@@ -133,12 +138,59 @@ class TestMerged:
         np.testing.assert_array_equal(out.positions[lone_after], ens.positions[lone_before])
         np.testing.assert_array_equal(out.velocities[lone_after], ens.velocities[lone_before])
 
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(-6, 6),
+                              st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=30),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_full_repool(self, cells, data):
+        """Against pooling every cluster afresh: each merged cluster from its
+        cells (mass, psi) and from its old clusters (position, velocity), as
+        whole-array block sums; every other cluster as it was."""
+        cells.sort(key=lambda c: c[1])  # equal positions pre-merge into one cluster
+        m, x, v, psi = (np.array(c, dtype=float) for c in zip(*cells))
+        ens = Ensemble._from_cells(m, x, v, psi, normalize=True)
+        ens = ens.merged(_random_runs(data, ens.n_clusters))
+        runs = _random_runs(data, ens.n_clusters)
+        out = ens.merged(runs)
+
+        opens = np.ones(ens.n_clusters, dtype=bool)
+        for a, b in runs:
+            opens[a + 1:b] = False
+        first = np.flatnonzero(opens)
+        single = np.diff(first, append=ens.n_clusters) == 1
+        w = ens.masses
+
+        def pooled(a):
+            return np.where(single, a[first], _block_sums(w * a, first) / _block_sums(w, first))
+
+        full = Ensemble._assemble(ens.cell_masses, ens.cell_positions, ens.cell_velocities,
+                                  ens.cell_psi, ens.starts[first],
+                                  cluster_positions=pooled(ens.positions),
+                                  cluster_velocities=pooled(ens.velocities))
+        for f in ("cell_masses", "cell_positions", "cell_velocities", "cell_psi", "starts",
+                  "masses", "positions", "velocities", "psi", "lineage"):
+            got, want = getattr(out, f), getattr(full, f)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f
+        np.testing.assert_array_equal(
+            out.lineage, np.repeat(np.arange(out.n_clusters),
+                                   np.diff(out.starts, append=out.n_cells)))
+
     def test_merge_all(self, rng):
         ens, _ = random_scenario(rng, 10)
         out = ens.merged([(0, ens.n_clusters)])
         assert out.n_clusters == 1
         assert float(np.sum(out.masses)) == 1.0
         assert out.momentum() == pytest.approx(ens.momentum(), abs=1e-14)
+
+
+def _random_runs(data, n):
+    """Disjoint half-open runs over range(n), runs of one included."""
+    cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    edges = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+    pieces = list(zip(edges[:-1], edges[1:]))
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return [piece for piece, c in zip(pieces, chosen) if c]
 
 
 def test_evolved_keeps_cells(rng):
@@ -161,17 +213,29 @@ def test_validate_catches_corruption(rng):
     ens, _ = random_scenario(rng, 5)
     bad = Ensemble(cell_masses=ens.cell_masses, cell_positions=ens.cell_positions,
                    cell_velocities=ens.cell_velocities, cell_psi=ens.cell_psi,
-                   lineage=ens.lineage, masses=ens.masses,
+                   starts=ens.starts, masses=ens.masses,
                    positions=np.zeros_like(ens.positions),  # ties everywhere
                    velocities=ens.velocities, psi=ens.psi)
     with pytest.raises(InvalidEnsembleError):
         bad.validate()
     bad = Ensemble(cell_masses=ens.cell_masses, cell_positions=ens.cell_positions,
                    cell_velocities=ens.cell_velocities, cell_psi=ens.cell_psi,
-                   lineage=ens.lineage, masses=ens.masses * 2.0,
+                   starts=ens.starts, masses=ens.masses * 2.0,
                    positions=ens.positions, velocities=ens.velocities, psi=ens.psi)
     with pytest.raises(InvalidEnsembleError):
         bad.validate()
+
+
+@pytest.mark.parametrize("starts", [[1, 2, 3], [0, 2, 2], [0, 3, 2], [0, 2, 4], [0, 2],
+                                    [0, 1, 2, 3]],
+                         ids=["not-at-0", "repeat", "decreasing", "beyond-cells",
+                              "too-short", "too-long"])
+def test_validate_catches_corrupt_starts(starts):
+    ens = Ensemble.from_particles([0.25] * 4, [0.0, 1.0, 2.0, 3.0], [0.0] * 4,
+                                  Zero()).merged([(0, 2)])
+    ens.validate()
+    with pytest.raises(InvalidEnsembleError, match="starts"):
+        dataclasses.replace(ens, starts=np.array(starts)).validate()
 
 
 # -- quantile view -------------------------------------------------------

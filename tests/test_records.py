@@ -183,14 +183,31 @@ def test_accumulator_time_mismatch(eventful_record, tmp_path):
         load_record(tmp_path)
 
 
-def test_accumulator_rows_disagree(eventful_record, tmp_path):
-    # the last row of the last time is a cell other than the first
+def test_accumulators_one_row_per_time(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    path = tmp_path / "accumulators.csv"
-    *head, last = path.read_text().splitlines()
-    t, cell_id, phi, v2 = last.split(",")
-    path.write_text("\n".join(head + [f"{t},{cell_id},{phi},{float(v2) + 1.0!r}"]) + "\n")
-    with pytest.raises(RecordIOError, match=re.escape(f"t={float(t)}")):
+    lines = (tmp_path / "accumulators.csv").read_text().splitlines()
+    assert lines[0] == "t,v_norm2_integral,phi_0,phi_1,phi_2,phi_3"
+    assert len(lines) == 1 + eventful_record.times.size
+
+
+def test_old_accumulator_layout_refused(eventful_record, tmp_path):
+    save_record(eventful_record, tmp_path)
+    (tmp_path / "accumulators.csv").write_text(
+        "t,cell_id,phi_integral,v_norm2_integral\n" + "".join(
+            f"{float(t)!r},{i},0,0\n" for t in eventful_record.times for i in range(4)))
+    with pytest.raises(RecordIOError, match="accumulators.csv"):
+        load_record(tmp_path)
+
+
+def test_event_after_the_last_snapshot(tmp_path):
+    kernel = Zero()
+    ens = ensemble_with_psi([0.25] * 4, [-0.6, -0.2, 0.2, 0.6], [1.0, -1.0, 1.0, -1.0], kernel)
+    rec = simulate(ens, kernel, 1.0, 0.5)
+    assert rec.snapshots[-1].n_clusters == 2
+    save_record(rec, tmp_path)
+    with open(tmp_path / "events.csv", "a") as fh:
+        fh.write("5.0,0,3,0.0,0.0\n")
+    with pytest.raises(RecordIOError, match=re.escape("t=5.0")):
         load_record(tmp_path)
 
 

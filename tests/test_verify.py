@@ -173,6 +173,13 @@ class TestStickiness:
         res = check_stickiness(rec)
         assert not res.passed
         assert res.residual == 1.0
+        # the residual counts split clusters, not the pieces they split into
+        ens = ensemble_with_psi([0.125, 0.125, 0.25, 0.125, 0.125, 0.25],
+                                np.linspace(-1.0, 1.0, 6), np.zeros(6), kernel)
+        for runs, split in (([(0, 3)], 1.0), ([(0, 2), (3, 6)], 2.0)):
+            res = check_stickiness(fabricated(kernel, [ens.merged(runs), ens], [0.0, 1.0]))
+            assert not res.passed
+            assert res.residual == split
 
 
 class TestConservation:
