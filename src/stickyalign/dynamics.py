@@ -117,14 +117,14 @@ def _make_rhs(masses: np.ndarray, psi: np.ndarray, kernel: Kernel):
 def _attempt(x0, k1, h, rhs):
     """One Dormand-Prince trial step; returns (x1, k7, error_estimate)."""
     k = [k1]
-    for i in range(1, 6):
-        xi = x0 + h * sum(a * kj for a, kj in zip(_A[i], k))
-        k.append(rhs(xi))
-    x1 = x0 + h * sum(b * kj for b, kj in zip(_A[6], k))
-    k7 = rhs(x1)
-    k.append(k7)
-    err = h * sum(e * kj for e, kj in zip(_E, k))
-    return x1, k7, err
+    for row in _A[1:] + (_E,):  # the last row of _A gives x1 and k7, _E the error
+        acc = np.zeros_like(k1)  # each row sums in place from zero, in tableau order
+        for a, kj in zip(row, k):
+            acc += a * kj
+        if row is not _E:
+            x1 = x0 + h * acc
+            k.append(rhs(x1))
+    return x1, k[-1], h * acc
 
 
 def _error_norm(err, x0, x1, tol: Tolerances) -> float:

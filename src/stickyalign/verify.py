@@ -11,6 +11,16 @@ integrals).  Residual conventions:
 
 The default tolerance everywhere is ``1e-9 * (1 + max |psi|)``: the
 integrator's error floor dominates every residual in practice.
+
+The three entropy checks are one chord test on the flux
+``A = cumulative_primitive(cell_psi, cell_masses)``, with nodes M at the
+cumulative cell masses and ``chord(i, j) = (A[j] - A[i]) / (M[j] - M[i])``.
+Cells ``[lo, hi)`` held together at slope s are an entropy shock exactly when
+A lies above their line: ``chord(k, hi) <= s <= chord(lo, k)`` at every
+interior node k.  Oleinik is this test on every cluster with its psi,
+barycentric on every merge with its ``post_psi`` (chords from an endpoint are
+prefix and suffix means), and Rankine-Hugoniot is ``s == chord(lo, hi)``.
+The cells never change, so :func:`verify_record` builds A once per record.
 """
 
 from __future__ import annotations
@@ -22,12 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import MergeEvent, SimulationRecord, simulate
-from .ensemble import Ensemble
+from .ensemble import _block_sums
 from .exceptions import InvalidScenarioError
-from .flux import FluxAnalysis, Regime, build_flux, flocking_thresholds
+from .flux import FluxAnalysis, Regime, flocking_thresholds
 from .kernels import Kernel
 from .metrics import energy, velocity_semidistance, wasserstein
-from .monotone import project_monotone
+from .monotone import PiecewiseLinear, cumulative_primitive, project_monotone
 
 __all__ = [
     "CheckResult",
@@ -69,17 +79,52 @@ def _result(name: str, residual: float, tolerance: float, details=()) -> CheckRe
                        details=tuple(details))
 
 
-# -- merge-event checks -------------------------------------------------
+# -- entropy checks: one flux, one chord test ----------------------------
 
 
-def _event_slice(event: MergeEvent, cell_psi, cell_masses):
-    cell_psi = np.asarray(cell_psi, dtype=float)
-    cell_masses = np.asarray(cell_masses, dtype=float)
-    i0, i1 = event.first_index, event.last_index
-    if not (0 <= i0 < i1 < cell_psi.size) or cell_masses.shape != cell_psi.shape:
-        raise InvalidScenarioError(
-            f"event range [{i0}, {i1}] incompatible with {cell_psi.size} cells")
-    return cell_psi[i0:i1 + 1], cell_masses[i0:i1 + 1]
+def _chord(flux: PiecewiseLinear, i, j) -> np.ndarray:
+    """Slope of the flux between nodes i and j (index arrays)."""
+    return (flux.values[j] - flux.values[i]) / (flux.nodes[j] - flux.nodes[i])
+
+
+def _chord_excess(flux: PiecewiseLinear, lo, hi, s) -> np.ndarray:
+    """``max(chord(k, hi) - s, s - chord(lo, k))`` at every interior node k of
+    every cell range ``[lo, hi)`` of slope s, range after range; positive
+    where the flux dips below the range's line."""
+    inner = hi - lo - 1
+    owner = np.repeat(np.arange(lo.size), inner)
+    k = np.arange(owner.size) + np.repeat(lo + 1 - (np.cumsum(inner) - inner), inner)
+    s = s[owner]
+    return np.maximum(_chord(flux, k, hi[owner]) - s, s - _chord(flux, lo[owner], k))
+
+
+def _event_checks(events, cell_psi, cell_masses, tolerance=None):
+    """The cells' flux, then the barycentric and Rankine-Hugoniot results of all events."""
+    psi, m = np.asarray(cell_psi, dtype=float), np.asarray(cell_masses, dtype=float)
+    lo = np.array([ev.first_index for ev in events], dtype=np.intp)
+    hi = np.array([ev.last_index for ev in events], dtype=np.intp) + 1
+    s = np.array([ev.post_psi for ev in events], dtype=float)
+    bad = np.flatnonzero((lo < 0) | (hi - lo < 2) | (hi > psi.size) | (m.shape != psi.shape))
+    if bad.size:
+        ev = events[bad[0]]
+        raise InvalidScenarioError(f"event range [{ev.first_index}, {ev.last_index}] "
+                                   f"incompatible with {psi.size} cells")
+    tol = default_tolerance(psi) if tolerance is None else tolerance
+    flux = cumulative_primitive(psi, m)
+    excess, jump = _chord_excess(flux, lo, hi, s), np.abs(s - _chord(flux, lo, hi))
+    floor = -math.inf if s.size else 0.0  # no events: a vacuous pass with residual 0
+    return (flux, _result("barycentric", np.max(excess, initial=floor), tol),
+            _result("rankine_hugoniot", np.max(jump, initial=floor), tol))
+
+
+def _oleinik(flux: PiecewiseLinear, snapshots, tolerance: float) -> CheckResult:
+    """Entropy chords of every cluster of every snapshot; a snapshot of
+    singletons passes vacuously with residual 0."""
+    bounds = [snap.bounds for snap in snapshots]
+    lo, hi = np.concatenate([b[:-1] for b in bounds]), np.concatenate([b[1:] for b in bounds])
+    excess = _chord_excess(flux, lo, hi, np.concatenate([snap.psi for snap in snapshots]))
+    floor = 0.0 if any(snap.n_clusters == snap.n_cells for snap in snapshots) else -math.inf
+    return _result("oleinik_entropy", np.max(excess, initial=floor), tolerance)
 
 
 def check_barycentric(event: MergeEvent, cell_psi, cell_masses,
@@ -90,30 +135,14 @@ def check_barycentric(event: MergeEvent, cell_psi, cell_masses,
     part must not exceed ``post_psi`` and the mean of the left part must not
     fall below it; the residual is the worst violation over all splits.
     """
-    p, m = _event_slice(event, cell_psi, cell_masses)
-    if tolerance is None:
-        tolerance = default_tolerance(cell_psi)
-    # at split k the left part is cells ..k and the right part cells k+1..,
-    # so drop the full-range mean from each cumulative-mean array
-    prefix = (np.cumsum(m * p) / np.cumsum(m))[:-1]
-    suffix = (np.cumsum((m * p)[::-1]) / np.cumsum(m[::-1]))[::-1][1:]
-    worst = max(float(np.max(suffix - event.post_psi)),
-                float(np.max(event.post_psi - prefix)))
-    return _result("barycentric", worst, tolerance)
+    return _event_checks([event], cell_psi, cell_masses, tolerance)[1]
 
 
 def check_rankine_hugoniot(event: MergeEvent, cell_psi, cell_masses,
                            tolerance: float | None = None) -> CheckResult:
     """post_psi equals the chord slope of the flux over the merged mass range
     (the mass-weighted mean of the constituent cell psi)."""
-    p, m = _event_slice(event, cell_psi, cell_masses)
-    if tolerance is None:
-        tolerance = default_tolerance(cell_psi)
-    chord = float(np.sum(m * p) / np.sum(m))
-    return _result("rankine_hugoniot", abs(event.post_psi - chord), tolerance)
-
-
-# -- snapshot checks ----------------------------------------------------
+    return _event_checks([event], cell_psi, cell_masses, tolerance)[2]
 
 
 def check_oleinik_entropy(record: SimulationRecord, t: float,
@@ -125,21 +154,11 @@ def check_oleinik_entropy(record: SimulationRecord, t: float,
     flux lies above the cluster's chord on the whole interval.
     """
     snap = record.snapshot_at(t)
-    if tolerance is None:
-        tolerance = default_tolerance(snap.cell_psi)
-    flux = build_flux(snap)
-    nodes, A = flux.nodes, flux.values
-    worst = -math.inf
-    for (a, b), psi in zip(snap.cluster_cell_ranges(), snap.psi):
-        if b - a < 2:
-            continue
-        k = np.arange(a + 1, b)
-        lower = (A[b] - A[k]) / (nodes[b] - nodes[k])
-        upper = (A[k] - A[a]) / (nodes[k] - nodes[a])
-        worst = max(worst, float(np.max(lower - psi)), float(np.max(psi - upper)))
-    if worst == -math.inf:
-        worst = 0.0  # no multi-cell clusters: vacuous pass
-    return _result("oleinik_entropy", worst, tolerance)
+    tol = default_tolerance(snap.cell_psi) if tolerance is None else tolerance
+    return _oleinik(cumulative_primitive(snap.cell_psi, snap.cell_masses), [snap], tol)
+
+
+# -- snapshot checks ----------------------------------------------------
 
 
 def check_projection_formula(record: SimulationRecord, t: float,
@@ -186,17 +205,19 @@ def check_stickiness(record: SimulationRecord) -> CheckResult:
 def check_conservation(record: SimulationRecord,
                        tolerance: float = 1e-10) -> CheckResult:
     """Mass exactly conserved, momentum within tolerance, cluster count
-    nonincreasing across snapshots."""
-    m0 = float(np.sum(record.initial.cell_masses))
-    p0 = record.initial.momentum()
-    worst = 0.0
+    nonincreasing across snapshots.
+
+    Exact mass: every snapshot keeps the initial cell masses and every cluster
+    mass is its cells' ``np.sum`` (totals summed in another order may differ
+    in the last bit)."""
+    m, p0 = record.initial.cell_masses, record.initial.momentum()
     counts = [s.n_clusters for s in record.snapshots]
-    if any(b > a for a, b in zip(counts, counts[1:])):
+    exact = all(np.array_equal(s.cell_masses, m)
+                and np.array_equal(s.masses, _block_sums(s.cell_masses, s.starts))
+                for s in record.snapshots)
+    worst = max((abs(s.momentum() - p0) for s in record.snapshots), default=0.0)
+    if not exact or any(b > a for a, b in zip(counts, counts[1:])):
         worst = math.inf
-    for snap in record.snapshots:
-        if float(np.sum(snap.masses)) != m0:
-            worst = math.inf
-        worst = max(worst, abs(snap.momentum() - p0))
     return _result("conservation", worst, tolerance)
 
 
@@ -221,12 +242,6 @@ def check_dissipation(record: SimulationRecord,
 # -- flocking -----------------------------------------------------------
 
 
-def _center_of_mass(snap: Ensemble, cells: tuple[int, int]) -> float:
-    a, b = cells
-    m = snap.cell_masses[a:b]
-    return float(np.sum(m * snap.positions[snap.lineage[a:b]]) / np.sum(m))
-
-
 def check_flocking(record: SimulationRecord, analysis: FluxAnalysis,
                    tolerance: float = 1e-6) -> CheckResult:
     """Observed subgroup separation against the predicted tail regime.
@@ -236,31 +251,30 @@ def check_flocking(record: SimulationRecord, analysis: FluxAnalysis,
     outer-edge distance, once below the upper threshold, must stay below it
     at the final time.  Details carry one observation dict per pair.
     """
-    if len(analysis.subgroups) < 2:
+    groups = analysis.subgroups
+    if len(groups) < 2:
         raise InvalidScenarioError("flocking check needs at least two subgroups")
+    # cell positions at every snapshot time; subgroups tile the cells in order
+    x = np.stack([s.positions[s.lineage] for s in record.snapshots])
+    m = record.initial.cell_masses
+    starts = [sg.cells[0] for sg in groups]
+    centers = np.add.reduceat(m * x, starts, axis=1) / np.add.reduceat(m, starts)
     worst = 0.0
     observations = []
-    for i in range(len(analysis.subgroups) - 1):
-        sg1 = analysis.subgroups[i]
-        sg2 = analysis.subgroups[i + 1]
+    for i in range(len(groups) - 1):
         th = flocking_thresholds(analysis, i, i + 1)
         obs = {"pair": (i, i + 1), "regime": th.regime.value}
         if th.regime is Regime.THIN_TAIL_DIVERGE:
-            gaps = np.array([_center_of_mass(s, sg2.cells) - _center_of_mass(s, sg1.cells)
-                             for s in record.snapshots])
-            required = gaps[0] + th.rate * record.times
-            residual = float(np.max(required - gaps))
+            gaps = centers[:, i + 1] - centers[:, i]
+            residual = float(np.max(gaps[0] + th.rate * record.times - gaps))
             obs["min_margin"] = -residual
         else:
-            edges = np.array([s.positions[s.lineage[sg2.cells[1] - 1]]
-                              - s.positions[s.lineage[sg1.cells[0]]]
-                              for s in record.snapshots])
-            obs["final_distance"] = float(edges[-1])
+            edge = x[:, groups[i + 1].cells[1] - 1] - x[:, starts[i]]
+            obs["final_distance"] = float(edge[-1])
             if th.upper is None:
                 residual = 0.0  # velocity gap beyond the primitive's range: no bound
             else:
-                below = np.nonzero(edges <= th.upper)[0]
-                residual = float(edges[-1] - th.upper) if below.size else 0.0
+                residual = float(edge[-1] - th.upper) if np.any(edge <= th.upper) else 0.0
                 obs["upper"] = th.upper
         worst = max(worst, residual)
         observations.append(obs)
@@ -340,39 +354,22 @@ def convergence_study(sampler, ns, t_grid, kernel: Kernel,
 # -- orchestration ------------------------------------------------------
 
 
-def verify_record(record: SimulationRecord,
-                  tolerance: float | None = None) -> list[CheckResult]:
-    """Run every checker that applies to a record; returns one aggregated
-    result per check.
+def verify_record(record: SimulationRecord) -> list[CheckResult]:
+    """Run every checker that applies to a record at its default tolerance;
+    returns one aggregated result per check.
 
-    Event checks aggregate the worst residual over all merge events, the
-    entropy check over all snapshot times.  Projection and dissipation are
-    included only when the record carries accumulator integrals (records
-    loaded from a directory without ``accumulators.csv`` do not).
+    The event checks take the worst residual over all merge events, the
+    entropy check over all clusters of all snapshots, all on one flux.
+    Projection and dissipation are included only when the record carries
+    accumulator integrals (records loaded without ``accumulators.csv`` do not).
     """
-    cells_psi = record.initial.cell_psi
-    cells_m = record.initial.cell_masses
-    tol = default_tolerance(cells_psi) if tolerance is None else tolerance
-
-    def aggregate(name, results):
-        worst = max((r.residual for r in results), default=0.0)
-        t = results[0].tolerance if results else tol
-        return CheckResult(name=name, passed=all(r.passed for r in results),
-                           residual=worst, tolerance=t)
-
-    out = [
-        aggregate("barycentric",
-                  [check_barycentric(ev, cells_psi, cells_m, tol) for ev in record.events]),
-        aggregate("rankine_hugoniot",
-                  [check_rankine_hugoniot(ev, cells_psi, cells_m, tol) for ev in record.events]),
-        aggregate("oleinik_entropy",
-                  [check_oleinik_entropy(record, t, tol) for t in record.times]),
-        check_stickiness(record),
-        check_conservation(record),
-    ]
+    init = record.initial
+    flux, *event_results = _event_checks(record.events, init.cell_psi, init.cell_masses)
+    out = [*event_results, _oleinik(flux, record.snapshots, default_tolerance(init.cell_psi)),
+           check_stickiness(record), check_conservation(record)]
     if record.phi_integrals is not None:
-        out.append(check_projection_formula(record, float(record.times[-1])))
-        out.append(check_dissipation(record))
+        out += [check_projection_formula(record, float(record.times[-1])),
+                check_dissipation(record)]
     return out
 
 

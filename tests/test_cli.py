@@ -241,6 +241,19 @@ def test_verify_green_record(tmp_path):
     assert all(r["pass"] for r in report)
 
 
+def test_verify_green_on_non_dyadic_masses(tmp_path):
+    # masses 1/100: snapshot mass totals differ from the initial one in the
+    # last bit, and conservation must still pass
+    cfg = write_config(tmp_path, {
+        "kernel": {"type": "zero"},
+        "sampler": {"profile": "gaussian", "N": 100},
+        "t_end": 4.0, "snapshot_dt": 0.25,
+    })
+    out = tmp_path / "run"
+    assert run_simulate(cfg, out, seed=1, quiet=True) == EXIT_OK
+    assert run_verify(out, quiet=True) == EXIT_OK
+
+
 def test_verify_includes_flocking_when_subgroups_split(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"type": "exponential", "a": 1.0},

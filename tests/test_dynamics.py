@@ -21,7 +21,7 @@ from stickyalign import (
     simulate,
     step,
 )
-from stickyalign.dynamics import _cascade, _first_trigger, _hermite
+from stickyalign.dynamics import _A, _E, _attempt, _cascade, _first_trigger, _hermite
 from tests.conftest import dyadic_masses, random_scenario
 
 
@@ -302,6 +302,34 @@ def test_first_trigger_finds_a_dip_between_grid_points():
     s = _first_trigger(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL)
     assert s == pytest.approx(crossing, abs=1e-9)
     assert c - 3.2e-5 < s < c
+
+
+def test_attempt_sums_stages_like_the_builtin_sum():
+    """Stages summed in place from zero equal the builtin ``sum`` over the
+    same terms in the same order, bit for bit (signed zeros included): the
+    right-hand side sees the same stage states and the step the same output."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        seen = []
+
+        def rhs(x):
+            seen.append(x.tobytes())
+            return np.sin(3.0 * x) - x * x
+
+        x0 = rng.normal(size=20)
+        x0[:2] = (0.0, -0.0)
+        h = float(rng.uniform(1e-4, 0.5))
+        k = [rhs(x0)]
+        for i in range(1, 6):
+            k.append(rhs(x0 + h * sum(a * kj for a, kj in zip(_A[i], k))))
+        x1 = x0 + h * sum(b * kj for b, kj in zip(_A[6], k))
+        k.append(rhs(x1))
+        err = h * sum(e * kj for e, kj in zip(_E, k))
+        want, seen = seen, [seen[0]]
+        got = _attempt(x0, k[0], h, rhs)
+        assert seen == want
+        for a, b in zip(got, (x1, k[6], err)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_event_bookkeeping(rng):

@@ -1,9 +1,12 @@
 """Each structural checker must accept honest runs and reject doctored ones."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickyalign import (
     AllToAll,
@@ -15,9 +18,14 @@ from stickyalign import (
     SimulationRecord,
     Zero,
     analyze,
+    cumulative_primitive,
+    flocking_thresholds,
     simulate,
 )
+from stickyalign.flux import Regime
 from stickyalign.verify import (
+    _chord,
+    _chord_excess,
     check_barycentric,
     check_conservation,
     check_dissipation,
@@ -114,6 +122,63 @@ class TestRankineHugoniot:
             assert check_rankine_hugoniot(ev, init.cell_psi, init.cell_masses).passed
 
 
+# -- the chord test against the per-check formulas it replaced ----------
+
+
+def _prefix_suffix_worst(p, m, s):
+    """Barycentric residual of one merged range by prefix and suffix means."""
+    prefix = (np.cumsum(m * p) / np.cumsum(m))[:-1]
+    suffix = (np.cumsum((m * p)[::-1]) / np.cumsum(m[::-1]))[::-1][1:]
+    return max(float(np.max(suffix - s)), float(np.max(s - prefix)))
+
+
+def _cluster_loop_excess(flux, bounds, slopes):
+    """Oleinik chords cluster by cluster, concatenated in cluster order."""
+    nodes, A = flux.nodes, flux.values
+    out = [np.empty(0)]
+    for a, b, s in zip(bounds[:-1], bounds[1:], slopes):
+        k = np.arange(a + 1, b)
+        lower = (A[b] - A[k]) / (nodes[b] - nodes[k])
+        upper = (A[k] - A[a]) / (nodes[k] - nodes[a])
+        out.append(np.maximum(lower - s, s - upper))
+    return np.concatenate(out)
+
+
+@given(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-10.0, 10.0), st.booleans(),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=40),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_chord_excess_matches_the_per_check_formulas(cells, singletons):
+    m = np.array([c[0] for c in cells])
+    m /= np.sum(m)
+    psi = np.array([c[1] for c in cells])
+    n = m.size
+    flux = cumulative_primitive(psi, m)
+    # a random partition (or all singletons), each range at a random slope
+    start = np.array([True] + [c[2] for c in cells[1:]]) | singletons
+    bounds = np.append(np.flatnonzero(start), n)
+    slopes = (psi + np.array([c[3] for c in cells]))[start]
+    got = _chord_excess(flux, bounds[:-1], bounds[1:], slopes)
+    np.testing.assert_array_equal(got, _cluster_loop_excess(flux, bounds, slopes))
+    assert got.size == n - slopes.size
+
+    # chords of the whole flux carry the cumsum rounding of both end nodes
+    # (n eps max|psi| each) over a range mass of at least 1 / (3n)
+    tol = 16 * n * n * np.finfo(float).eps * (1.0 + float(np.max(np.abs(psi))))
+    ends = np.cumsum(np.diff(bounds) - 1)
+    for a, b, s, end in zip(bounds[:-1], bounds[1:], slopes, ends):
+        if b - a < 2:
+            continue  # a single cell has no interior node
+        worst = float(np.max(got[end - (b - a - 1):end]))
+        assert abs(worst - _prefix_suffix_worst(psi[a:b], m[a:b], s)) <= tol
+        event = MergeEvent(time=0.0, first_index=int(a), last_index=int(b - 1),
+                           post_velocity=0.0, post_psi=float(s))
+        assert check_barycentric(event, psi, m).residual == worst
+        mean = np.sum(m[a:b] * psi[a:b]) / np.sum(m[a:b])
+        assert abs(float(_chord(flux, a, b)) - mean) <= tol
+        assert check_rankine_hugoniot(event, psi, m).residual == abs(s - _chord(flux, a, b))
+
+
 # -- snapshot checks -----------------------------------------------------
 
 
@@ -185,6 +250,35 @@ class TestStickiness:
 class TestConservation:
     def test_real_record_passes(self, mixed_record):
         assert check_conservation(mixed_record).passed
+
+    def test_non_dyadic_masses_pass(self):
+        # pooled cluster masses are summed in another order than the cells,
+        # so a snapshot total can differ from the initial one in the last bit
+        rng = np.random.default_rng(2)
+        kernel = Zero()
+        ens = Ensemble.from_particles(rng.uniform(0.5, 1.5, 100), np.sort(rng.normal(size=100)),
+                                      rng.normal(size=100), kernel, normalize=True)
+        rec = simulate(ens, kernel, 4.0, 0.25)
+        m0 = float(np.sum(ens.cell_masses))
+        assert any(float(np.sum(s.masses)) != m0 for s in rec.snapshots)
+        assert check_conservation(rec).passed
+
+    def test_cluster_mass_off_by_1e_12_fails(self, mixed_record):
+        last = mixed_record.snapshots[-1]
+        off = dataclasses.replace(last, masses=last.masses + np.eye(last.n_clusters)[0] * 1e-12)
+        rec = fabricated(mixed_record.kernel, mixed_record.snapshots[:-1] + [off],
+                         mixed_record.times)
+        res = check_conservation(rec)
+        assert not res.passed and res.residual == np.inf
+
+    def test_changed_cell_masses_fail(self):
+        # same total, same momentum, cluster masses pooled from the new cells
+        kernel = Zero()
+        ens = ensemble_with_psi([0.25, 0.75], [-1.0, 1.0], [1.0, 1.0], kernel)
+        swapped = dataclasses.replace(ens, cell_masses=ens.cell_masses[::-1],
+                                      masses=ens.masses[::-1])
+        res = check_conservation(fabricated(kernel, [ens, swapped], [0.0, 1.0]))
+        assert not res.passed and res.residual == np.inf
 
     def test_momentum_drift_fails(self):
         kernel = Zero()
@@ -268,6 +362,60 @@ class TestFlocking:
             check_flocking(rec, analyze(ens, kernel))
 
 
+def _flocking_by_pairs(record, analysis):
+    """check_flocking's residual and details, pair by pair and snapshot by snapshot."""
+    def center(s, cells):
+        a, b = cells
+        m = s.cell_masses[a:b]
+        return float(np.sum(m * s.positions[s.lineage[a:b]]) / np.sum(m))
+
+    worst, observations = 0.0, []
+    for i in range(len(analysis.subgroups) - 1):
+        sg1, sg2 = analysis.subgroups[i], analysis.subgroups[i + 1]
+        th = flocking_thresholds(analysis, i, i + 1)
+        obs = {"pair": (i, i + 1), "regime": th.regime.value}
+        if th.regime is Regime.THIN_TAIL_DIVERGE:
+            gaps = np.array([center(s, sg2.cells) - center(s, sg1.cells)
+                             for s in record.snapshots])
+            residual = float(np.max(gaps[0] + th.rate * record.times - gaps))
+            obs["min_margin"] = -residual
+        else:
+            edges = np.array([s.positions[s.lineage[sg2.cells[1] - 1]]
+                              - s.positions[s.lineage[sg1.cells[0]]] for s in record.snapshots])
+            obs["final_distance"] = float(edges[-1])
+            residual = 0.0
+            if th.upper is not None:
+                if np.any(edges <= th.upper):
+                    residual = float(edges[-1] - th.upper)
+                obs["upper"] = th.upper
+        worst = max(worst, residual)
+        observations.append(obs)
+    return worst, observations
+
+
+def test_flocking_matches_the_per_pair_formula(rng):
+    regimes = set()
+    for _ in range(16):
+        ens, kernel = random_scenario(rng, 30)
+        analysis = analyze(ens, kernel)
+        if len(analysis.subgroups) < 2:
+            continue
+        rec = simulate(ens, kernel, 2.0, 0.5)
+        res = check_flocking(rec, analysis)
+        worst, observations = _flocking_by_pairs(rec, analysis)
+        assert res.residual == pytest.approx(worst, rel=0.0, abs=1e-12)
+        assert len(res.details) == len(observations)
+        for got, want in zip(res.details, observations):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+                else:
+                    assert got[key] == value
+            regimes.add(want["regime"])
+    assert regimes == {"ThinTailDiverge", "FatTailBound"}
+
+
 # -- convergence study ---------------------------------------------------
 
 
@@ -318,6 +466,27 @@ def test_verify_record_all_green(mixed_record):
         "barycentric", "rankine_hugoniot", "oleinik_entropy",
         "stickiness", "conservation", "projection_formula", "dissipation"]
     assert all(r.passed for r in results)
+
+
+def test_verify_record_aggregates_the_per_event_and_per_snapshot_checks(mixed_record):
+    # the second record starts with two coincident cells, so no snapshot is
+    # all singletons and the Oleinik residual is a negative margin
+    kernel = Zero()
+    ens = ensemble_with_psi([0.25, 0.25, 0.25, 0.25], [-1.0, -1.0, 0.0, 1.0],
+                            [2.0, 1.0, -1.0, 0.5], kernel)
+    for rec in (mixed_record, simulate(ens, kernel, 2.0, 0.5)):
+        init = rec.initial
+        flux = cumulative_primitive(init.cell_psi, init.cell_masses)
+        per_snapshot = [np.max(_cluster_loop_excess(flux, s.bounds, s.psi), initial=0.0
+                               if s.n_clusters == s.n_cells else -np.inf)
+                        for s in rec.snapshots]
+        by_name = {r.name: r for r in verify_record(rec)}
+        assert by_name["oleinik_entropy"].residual == max(per_snapshot)
+        for name, check in (("barycentric", check_barycentric),
+                            ("rankine_hugoniot", check_rankine_hugoniot)):
+            residuals = [check(ev, init.cell_psi, init.cell_masses).residual for ev in rec.events]
+            assert by_name[name].residual == max(residuals)
+    assert by_name["oleinik_entropy"].residual < 0.0
 
 
 def test_verify_record_without_accumulators(mixed_record):
