@@ -51,7 +51,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 def natural_velocities(masses, positions, velocities, kernel: Kernel) -> np.ndarray:
-    """psi_i = v_i + sum_j m_j Phi(x_i - x_j), by direct O(N^2) summation.
+    """psi_i = v_i + sum_j m_j Phi(x_i - x_j), through ``kernel.convolve``.
 
     The self term vanishes because Phi(0) = 0, so weakly singular kernels are
     safe here (only the primitive is evaluated).

@@ -26,6 +26,16 @@ PowerLaw        phi(r) = c r^(-beta) for r <= R with beta in (0, 1), continued
 Exponential     phi(r) = a e^(-|r|).
 CompactBump     phi(r) = height on |r| <= radius, zero beyond.
 
+Convolution and energy
+----------------------
+``Kernel.convolve`` (every force term, Phi * rho) and ``Kernel.energy`` (the
+double sum of W) are dense N x N sums in the base class; PowerLaw and
+CompactBump use them.  Zero returns zeros.  AllToAll reduces both to the
+mass, centre of mass and second moment, in O(N).  Exponential splits
+e^(-|x - y|) into the two sides of each point and sums each side with one
+decaying scan over the sorted positions, in O(N log N); no exponent is ever
+positive, so nothing overflows at any spread.
+
 All values are plain dimensionless reals; instances are immutable and safe to
 share between threads.
 """
@@ -49,6 +59,39 @@ __all__ = [
     "kernel_from_config",
     "kernel_to_config",
 ]
+
+
+def _exp_sides(at, x, m):
+    """One-sided sums over positions ``x`` sorted ascending, at each ``at``.
+
+    Returns the mass strictly left and strictly right of each point of
+    ``at``, and sum m_j e^(-|at - x_j|) over each of those two sides.  The
+    decayed prefix G_k = sum_{j<=k} m_j e^(-(x_k - x_j)) obeys the linear
+    recurrence G_k = e^(-(x_k - x_(k-1))) G_(k-1) + m_k, which a doubling
+    scan solves in log2(N) vector passes; the suffix is the same scan on the
+    reversed order.  Every factor is e^(-gap) <= 1 and every exponent is a
+    local difference, so the sums neither overflow nor lose precision at
+    wide spreads.
+    """
+    n = x.size
+    # [0, m_0 .. m_(n-1), 0, m_(n-1) .. m_0]: both directions in one scan, with
+    # zero decay into and out of each pad so that nothing crosses between them
+    link = np.exp(-np.diff(x))
+    decay = np.concatenate(([0.0, 0.0], link, [0.0, 0.0], link[::-1]))
+    sums = np.concatenate(([0.0], m, [0.0], m[::-1]))
+    step = 1
+    while step < n:
+        sums[step:] += decay[step:] * sums[:-step]
+        decay[step:] *= decay[:-step]
+        step *= 2
+    cum = np.concatenate(([0.0], np.cumsum(m)))
+    lo = np.searchsorted(x, at, side="left")  # sums[lo]: G at the nearest point left
+    hi = np.searchsorted(x, at, side="right")  # sums[2n+1-hi]: suffix at the nearest right
+    x_left = np.concatenate(([-np.inf], x))
+    x_right = np.concatenate((x, [np.inf]))
+    return (cum[lo], cum[-1] - cum[hi],
+            sums[lo] * np.exp(x_left[lo] - at),
+            sums[2 * n + 1 - hi] * np.exp(at - x_right[hi]))
 
 
 def _maybe_scalar(x, out):
@@ -129,8 +172,20 @@ class Kernel:
         raise NotImplementedError
 
     def convolve(self, at, positions, masses) -> np.ndarray:
-        """(Phi * rho)(at_i) = sum_j m_j Phi(at_i - x_j) over 1-d arrays, densely."""
+        """(Phi * rho)(at_i) = sum_j m_j Phi(at_i - x_j) over 1-d arrays.
+
+        Neither ``at`` nor ``positions`` need be sorted.  The base class sums
+        the N x N matrix directly; families with a faster exact form override
+        it, and this dense form stays their test oracle.
+        """
         return self.big_phi(at[:, None] - positions[None, :]) @ masses
+
+    def energy(self, x, m) -> float:
+        """Interaction energy 0.5 sum_ij m_i m_j W(x_i - x_j) over 1-d arrays.
+
+        Dense in the base class, overridden as ``convolve`` is.
+        """
+        return 0.5 * float(m @ self.w_phi(x[:, None] - x[None, :]) @ m)
 
     def _check_inv_range(self, y: float) -> None:
         if y < 0.0:
@@ -156,6 +211,9 @@ class Zero(Kernel):
 
     def convolve(self, at, positions, masses) -> np.ndarray:
         return np.zeros(len(at))
+
+    def energy(self, x, m) -> float:
+        return 0.0
 
     @property
     def big_phi_sup(self) -> float:
@@ -186,6 +244,15 @@ class AllToAll(Kernel):
     def w_phi(self, x):
         xa = np.asarray(x, dtype=float)
         return _maybe_scalar(x, 0.5 * self.K * xa * xa)
+
+    def convolve(self, at, positions, masses) -> np.ndarray:
+        total = masses.sum()
+        return self.K * total * (at - (masses @ positions) / total)
+
+    def energy(self, x, m) -> float:
+        total = m.sum()
+        dx = x - (m @ x) / total  # centred: no cancellation in M sum m x^2 - (sum m x)^2
+        return 0.5 * self.K * float(total * (m @ (dx * dx)))
 
     @property
     def big_phi_sup(self) -> float:
@@ -290,6 +357,25 @@ class Exponential(Kernel):
         ax = np.abs(np.asarray(x, dtype=float))
         # integral of a(1 - e^-y) from 0 to x
         return _maybe_scalar(x, self.a * (ax - 1.0 + np.exp(-ax)))
+
+    def convolve(self, at, positions, masses) -> np.ndarray:
+        # Phi(d) = a sign(d) (1 - e^-|d|): the masses strictly on each side,
+        # less their e^-|d| weights; coincident points give Phi(0) = 0
+        order = np.argsort(positions, kind="stable")
+        mass_left, mass_right, near_left, near_right = _exp_sides(
+            at, positions[order], masses[order])
+        return self.a * ((mass_left - near_left) - (mass_right - near_right))
+
+    def energy(self, x, m) -> float:
+        # W(d) = a (|d| - 1 + e^-|d|) summed over the pairs i < j of distinct
+        # sorted positions; sum_{i<j} m_i m_j (x_j - x_i) counts each gap
+        # x_k - x_(k-1) once per pair it separates (the mass left of x_k times
+        # the mass right of x_(k-1)), so it has only positive terms
+        order = np.argsort(x, kind="stable")
+        x, m = x[order], m[order]
+        mass_left, mass_right, near_left, _ = _exp_sides(x, x, m)
+        spread = np.diff(x) @ (mass_left[1:] * mass_right[:-1])
+        return self.a * float(spread - m @ (mass_left - near_left))
 
     @property
     def big_phi_sup(self) -> float:

@@ -94,8 +94,7 @@ def energy(ensemble: Ensemble, kernel: Kernel) -> float:
     functional on L^2(0,1); pooling psi first gives the same value.
     """
     x = ensemble.positions
-    m = ensemble.masses
-    quad = 0.5 * float(m @ kernel.w_phi(x[:, None] - x[None, :]) @ m)
+    quad = kernel.energy(x, ensemble.masses)
     lin = float(np.sum(ensemble.cell_masses * ensemble.cell_psi * x[ensemble.lineage]))
     return quad - lin
 

@@ -232,10 +232,10 @@ def check_dissipation(record: SimulationRecord,
         dt = float(np.min(np.diff(record.times))) if record.times.size > 1 else 1.0
         scale = 1.0 + float(np.max(np.abs(record.initial.cell_psi)))
         tolerance = 10.0 * scale * scale * dt
-    e0 = energy(record.snapshots[0], record.kernel)
+    energies = [energy(snap, record.kernel) for snap in record.snapshots]
     worst = 0.0
-    for snap, v2 in zip(record.snapshots, record.v2_integrals):
-        worst = max(worst, abs(e0 - energy(snap, record.kernel) - v2))
+    for e, v2 in zip(energies, record.v2_integrals):
+        worst = max(worst, abs(energies[0] - e - v2))
     return _result("dissipation", worst, tolerance)
 
 

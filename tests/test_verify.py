@@ -39,7 +39,7 @@ from stickyalign.verify import (
     report_json,
     verify_record,
 )
-from tests.conftest import ensemble_with_psi, random_scenario
+from tests.conftest import dyadic_masses, ensemble_with_psi, random_scenario
 
 MIXED = dict(masses=[0.25, 0.25, 0.25, 0.25], positions=[-0.6, -0.2, 0.2, 0.6],
              psi=[2.0, -1.0, 0.0, 3.0])
@@ -517,6 +517,20 @@ def test_verify_random_scenarios(rng):
         results = verify_record(rec)
         failed = [r.name for r in results if not r.passed]
         assert failed == []
+
+
+def test_verify_large_exponential_rarefaction():
+    # N = 2000 in well under a second: the scanned convolution and energy
+    # carry every force term, the accumulators and the dissipation check
+    rng = np.random.default_rng(11)
+    n = 2000
+    kernel = Exponential(1.0)
+    ens = Ensemble.from_particles(dyadic_masses(rng, n), np.sort(rng.normal(size=n)),
+                                  np.sort(rng.normal(scale=0.5, size=n)), kernel)
+    rec = simulate(ens, kernel, 4.0, 0.5)
+    assert rec.events == [] and rec.snapshots[-1].n_clusters == n
+    failed = [r.name for r in verify_record(rec) if not r.passed]
+    assert failed == []
 
 
 def test_report_json_shape(mixed_record):
