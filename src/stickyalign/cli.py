@@ -261,9 +261,6 @@ def run_predict(config_path, out_dir, seed: int | None = None,
         kernel = _parse_kernel(cfg)
         ensemble = _build_ensemble(cfg, kernel, seed, quiet)
         analysis = analyze(ensemble, kernel)
-    except ConfigError as exc:
-        _warn(False, str(exc))
-        return EXIT_CONFIG_ERROR
     except StickyAlignError as exc:
         _warn(False, str(exc))
         return EXIT_CONFIG_ERROR

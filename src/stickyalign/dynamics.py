@@ -47,7 +47,6 @@ __all__ = [
 # contact threshold and event-time localization scales
 EPS_CONTACT = 1e-13
 TAU_EVENT = 1e-12
-_MAX_EVENTS = 20000
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -406,9 +405,6 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
                 accumulate_to(t_new)
                 state_mark = res.ensemble
                 events.extend(res.events)
-                if len(events) > _MAX_EVENTS:
-                    raise NumericalAbortError(
-                        f"event cascade runaway: more than {_MAX_EVENTS} events by t={t_new}")
             state = res.ensemble
             dt_hint = res.dt_next
             t = t_new

@@ -84,12 +84,15 @@ def _exp_sides(at, x, m):
         sums[step:] += decay[step:] * sums[:-step]
         decay[step:] *= decay[:-step]
         step *= 2
-    cum = np.concatenate(([0.0], np.cumsum(m)))
+    # each side's mass is its own running sum: the total less the left sum
+    # would lose the small masses right of a heavy left side to cancellation
+    left = np.concatenate(([0.0], np.cumsum(m)))
+    right = np.concatenate((np.cumsum(m[::-1])[::-1], [0.0]))
     lo = np.searchsorted(x, at, side="left")  # sums[lo]: G at the nearest point left
     hi = np.searchsorted(x, at, side="right")  # sums[2n+1-hi]: suffix at the nearest right
     x_left = np.concatenate(([-np.inf], x))
     x_right = np.concatenate((x, [np.inf]))
-    return (cum[lo], cum[-1] - cum[hi],
+    return (left[lo], right[hi],
             sums[lo] * np.exp(x_left[lo] - at),
             sums[2 * n + 1 - hi] * np.exp(at - x_right[hi]))
 

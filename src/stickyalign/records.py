@@ -3,10 +3,19 @@
 A saved run is a directory with ``snapshots.csv``, ``events.csv``,
 ``accumulators.csv`` and ``metadata.json``.  The manifest carries the kernel
 configuration and the immutable cell data; the CSV tables carry everything
-time-dependent.  ``accumulators.csv`` has one row per snapshot time, with the
-columns ``t, v_norm2_integral, phi_0 ... phi_{N-1}`` (one per cell).  All
-floating-point columns use 17 significant digits so a save/load cycle is
-bit-exact, which the golden regression tests rely on.
+time-dependent, each written and read as one 2-D float array:
+
+* ``snapshots.csv``: ``t, position, velocity``, one row per cluster and time,
+  clusters in order (a row's cluster index is its rank within its time).
+  Cluster masses and psi are not stored: they are pooled from the cells.
+* ``events.csv``: ``t, first_index, last_index, post_velocity, post_psi``.
+* ``accumulators.csv``: one row per snapshot time, with the columns
+  ``t, v_norm2_integral, phi_0 ... phi_{N-1}`` (one per cell).
+
+Every float is written with 17 significant digits so a save/load cycle is
+bit-exact, which the golden regression tests rely on.  A table whose header
+differs from these columns (such as the older snapshot layout with
+``cluster_id``, ``mass`` and ``psi``) is refused.
 
 Loading replays the merge events over the cell grid to rebuild each
 snapshot's ``starts`` (an event ``[first_index, last_index]`` removes the
@@ -18,7 +27,7 @@ have ``pre_velocities=None``.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 from pathlib import Path
 
@@ -40,37 +49,48 @@ __all__ = [
     "save_flux_analysis",
 ]
 
-SNAPSHOT_FIELDS = ("t", "cluster_id", "mass", "position", "velocity", "psi")
+SNAPSHOT_FIELDS = ("t", "position", "velocity")
 EVENT_FIELDS = ("t", "first_index", "last_index", "post_velocity", "post_psi")
 ENSEMBLE_FIELDS = ("cluster_id", "mass", "position", "velocity", "psi")
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _accumulator_fields(n_cells: int) -> tuple[str, ...]:
     return ("t", "v_norm2_integral") + tuple(f"phi_{i}" for i in range(n_cells))
 
 
-def _write_csv(path: Path, fields, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(rows)
+def _write_table(path: Path, fields, table, row_format: str | None = None) -> None:
+    """Write the header ``fields``, then one line per row of ``table``.
+
+    ``table`` is a 2-D float array, or rows of mixed values when ``row_format``
+    gives each column's format; floats are written ``%.17g``, which reads back
+    bit-exact.
+    """
+    row_format = (row_format or ",".join(["%.17g"] * len(fields))) + "\n"
+    values = np.asarray(table, dtype=object).ravel().tolist()
+    with open(path, "w") as fh:
+        fh.write(",".join(fields) + "\n")
+        fh.write(row_format * len(table) % tuple(values))
 
 
-def _read_csv(path: Path, fields) -> list[dict]:
+def _read_table(path: Path, fields) -> np.ndarray:
+    """The rows under the header ``fields`` as one ``(rows, len(fields))`` float array."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(fields):
-                raise RecordIOError(
-                    f"{path.name}: expected columns {','.join(fields)}, "
-                    f"got {reader.fieldnames}")
-            return list(reader)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+            body = fh.read()
     except OSError as exc:
         raise RecordIOError(f"cannot read {path}: {exc}") from exc
+    if header != ",".join(fields):
+        raise RecordIOError(f"{path.name}: expected columns {','.join(fields)}, got {header!r}")
+    if not body.strip():
+        return np.empty((0, len(fields)))
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise RecordIOError(f"malformed {path.name}: {exc}") from exc
+    if table.shape[1] != len(fields):
+        raise RecordIOError(f"malformed {path.name}: rows must have {len(fields)} columns")
+    return table
 
 
 def save_record(record: SimulationRecord, directory, extra_metadata: dict | None = None) -> Path:
@@ -82,32 +102,28 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for t, snap in zip(record.times, record.snapshots):
-        for i in range(snap.n_clusters):
-            rows.append((_fmt(t), i, _fmt(snap.masses[i]), _fmt(snap.positions[i]),
-                         _fmt(snap.velocities[i]), _fmt(snap.psi[i])))
-    _write_csv(d / "snapshots.csv", SNAPSHOT_FIELDS, rows)
-
-    _write_csv(d / "events.csv", EVENT_FIELDS,
-               [(_fmt(ev.time), ev.first_index, ev.last_index,
-                 _fmt(ev.post_velocity), _fmt(ev.post_psi)) for ev in record.events])
-
+    snaps = record.snapshots
+    _write_table(d / "snapshots.csv", SNAPSHOT_FIELDS, np.column_stack((
+        np.repeat(record.times, [s.n_clusters for s in snaps]),
+        np.concatenate([s.positions for s in snaps]),
+        np.concatenate([s.velocities for s in snaps]))))
+    _write_table(d / "events.csv", EVENT_FIELDS,
+                 np.array([(ev.time, ev.first_index, ev.last_index, ev.post_velocity,
+                            ev.post_psi) for ev in record.events]).reshape(-1, len(EVENT_FIELDS)))
     if record.phi_integrals is not None and record.v2_integrals is not None:
-        _write_csv(d / "accumulators.csv", _accumulator_fields(record.initial.n_cells),
-                   [[_fmt(t), _fmt(v2), *map(_fmt, phi)] for t, v2, phi in
-                    zip(record.times, record.v2_integrals, record.phi_integrals)])
+        _write_table(d / "accumulators.csv", _accumulator_fields(record.initial.n_cells),
+                     np.column_stack((record.times, record.v2_integrals, record.phi_integrals)))
 
     init = record.initial
     meta = {
         "format": "stickyalign-record",
         "kernel": kernel_to_config(record.kernel),
         "cells": {
-            "masses": [float(v) for v in init.cell_masses],
-            "positions": [float(v) for v in init.cell_positions],
-            "velocities": [float(v) for v in init.cell_velocities],
-            "psi": [float(v) for v in init.cell_psi],
-            "lineage": [int(v) for v in init.lineage],
+            "masses": init.cell_masses.tolist(),
+            "positions": init.cell_positions.tolist(),
+            "velocities": init.cell_velocities.tolist(),
+            "psi": init.cell_psi.tolist(),
+            "lineage": init.lineage.tolist(),
         },
     }
     if extra_metadata:
@@ -116,42 +132,6 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     return d
-
-
-def _group_by_time(rows):
-    """Split consecutive snapshot rows sharing a ``t`` value; returns [(t, rows)]."""
-    groups: list[tuple[float, list[dict]]] = []
-    for row in rows:
-        t = float(row["t"])
-        if not groups or groups[-1][0] != t:
-            if groups and t <= groups[-1][0]:
-                raise RecordIOError(f"snapshots.csv: times must be strictly increasing (at t={t})")
-            groups.append((t, []))
-        groups[-1][1].append(row)
-    return groups
-
-
-def _snapshot_from_rows(cells, starts, t, rows) -> Ensemble:
-    n_clusters = starts.size
-    if len(rows) != n_clusters:
-        raise RecordIOError(
-            f"snapshot at t={t}: {len(rows)} rows but event replay gives "
-            f"{n_clusters} clusters")
-    ids = [int(r["cluster_id"]) for r in rows]
-    if ids != list(range(n_clusters)):
-        raise RecordIOError(f"snapshot at t={t}: cluster_id must run 0..{n_clusters - 1}")
-    positions = np.array([float(r["position"]) for r in rows])
-    velocities = np.array([float(r["velocity"]) for r in rows])
-    snap = Ensemble._assemble(*cells, starts,
-                              cluster_positions=positions, cluster_velocities=velocities)
-    for row, mass, psi in zip(rows, snap.masses, snap.psi):
-        if abs(float(row["mass"]) - mass) > 1e-9 * (1.0 + abs(mass)):
-            raise RecordIOError(
-                f"snapshot at t={t}: cluster mass {row['mass']} does not pool its cells")
-        if abs(float(row["psi"]) - psi) > 1e-9 * (1.0 + abs(psi)):
-            raise RecordIOError(
-                f"snapshot at t={t}: cluster psi {row['psi']} does not pool its cells")
-    return snap
 
 
 def load_record(directory) -> SimulationRecord:
@@ -186,40 +166,46 @@ def load_record(directory) -> SimulationRecord:
     if any(a.size != n_cells for a in cells) or lineage0.size != n_cells or n_cells == 0:
         raise RecordIOError("metadata.json: cell arrays must be equal-length and nonempty")
 
-    try:
-        events = [MergeEvent(time=float(r["t"]),
-                             first_index=int(r["first_index"]),
-                             last_index=int(r["last_index"]),
-                             post_velocity=float(r["post_velocity"]),
-                             post_psi=float(r["post_psi"]))
-                  for r in _read_csv(d / "events.csv", EVENT_FIELDS)]
-        snapshot_groups = _group_by_time(_read_csv(d / "snapshots.csv", SNAPSHOT_FIELDS))
-    except (KeyError, ValueError) as exc:
-        raise RecordIOError(f"malformed record table: {exc}") from exc
-    if not snapshot_groups:
+    ev_table = _read_table(d / "events.csv", EVENT_FIELDS)
+    first, last = ev_table[:, 1], ev_table[:, 2]
+    bad = ~((0 <= first) & (first < last) & (last < n_cells)
+            & (first == np.floor(first)) & (last == np.floor(last)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise RecordIOError(f"event at t={ev_table[k, 0]}: bad cell range "
+                            f"[{first[k]:g}, {last[k]:g}] (integers in [0, {n_cells}) expected)")
+    events = [MergeEvent(time=t, first_index=int(i), last_index=int(j),
+                         post_velocity=v, post_psi=psi)
+              for t, i, j, v, psi in ev_table.tolist()]
+
+    snap_table = _read_table(d / "snapshots.csv", SNAPSHOT_FIELDS)
+    if not snap_table.size:
         raise RecordIOError("snapshots.csv has no rows")
-    for ev in events:
-        if not (0 <= ev.first_index < ev.last_index < n_cells):
-            raise RecordIOError(f"event at t={ev.time}: bad cell range "
-                                f"[{ev.first_index}, {ev.last_index}]")
+    bounds = np.flatnonzero(np.diff(snap_table[:, 0])) + 1
+    times = snap_table[np.concatenate(([0], bounds)), 0]
+    if not np.all(np.diff(times) > 0):
+        raise RecordIOError("snapshots.csv: times must be strictly increasing")
 
     # replay the merge events: an event clears the cluster starts inside it
     opens = np.concatenate(([True], lineage0[1:] != lineage0[:-1]))
     cursor = 0
-    times = []
     snapshots = []
-    for t, rows in snapshot_groups:
+    for t, rows in zip(times.tolist(), np.split(snap_table, bounds)):
         while cursor < len(events) and np.count_nonzero(opens) > len(rows):
             ev = events[cursor]
             if ev.time > t + 1e-9 * max(1.0, abs(t)):
                 break
             opens[ev.first_index + 1:ev.last_index + 1] = False
             cursor += 1
+        starts = np.flatnonzero(opens)
+        if starts.size != len(rows):
+            raise RecordIOError(f"snapshot at t={t}: {len(rows)} rows but event replay "
+                                f"gives {starts.size} clusters")
         try:
-            snapshots.append(_snapshot_from_rows(cells, np.flatnonzero(opens), t, rows))
+            snapshots.append(Ensemble._assemble(*cells, starts, cluster_positions=rows[:, 1],
+                                                cluster_velocities=rows[:, 2]))
         except InvalidEnsembleError as exc:
             raise RecordIOError(f"snapshot at t={t}: {exc}") from exc
-        times.append(t)
     if cursor < len(events):
         raise RecordIOError(f"event at t={events[cursor].time} is not reflected in any "
                             "snapshot (event replay ended at the last snapshot)")
@@ -227,19 +213,14 @@ def load_record(directory) -> SimulationRecord:
     phi_integrals = None
     v2_integrals = None
     if (d / "accumulators.csv").exists():
-        fields = _accumulator_fields(n_cells)
-        rows = _read_csv(d / "accumulators.csv", fields)
-        try:
-            table = np.array([[float(r[f]) for f in fields] for r in rows])
-        except (TypeError, ValueError) as exc:
-            raise RecordIOError(f"malformed accumulators.csv: {exc}") from exc
-        if table.shape != (len(times), len(fields)) or table[:, 0].tolist() != times:
+        table = _read_table(d / "accumulators.csv", _accumulator_fields(n_cells))
+        if table.shape[0] != times.size or not np.array_equal(table[:, 0], times):
             raise RecordIOError("accumulators.csv times do not match snapshots.csv")
         v2_integrals = table[:, 1]
         phi_integrals = table[:, 2:]
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0],
-                            times=np.array(times), snapshots=snapshots, events=events,
+                            times=times, snapshots=snapshots, events=events,
                             phi_integrals=phi_integrals, v2_integrals=v2_integrals)
 
 
@@ -285,25 +266,16 @@ def ensemble_from_json(data: dict, *, normalize: bool = False) -> Ensemble:
 
 def write_ensemble_csv(ensemble: Ensemble, path) -> None:
     """One row per cluster: cluster_id, mass, position, velocity, psi."""
-    _write_csv(Path(path), ENSEMBLE_FIELDS,
-               [(i, _fmt(ensemble.masses[i]), _fmt(ensemble.positions[i]),
-                 _fmt(ensemble.velocities[i]), _fmt(ensemble.psi[i]))
-                for i in range(ensemble.n_clusters)])
+    _write_table(Path(path), ENSEMBLE_FIELDS, np.column_stack((
+        np.arange(ensemble.n_clusters), ensemble.masses, ensemble.positions,
+        ensemble.velocities, ensemble.psi)))
 
 
 def read_ensemble_csv(path, *, normalize: bool = False) -> Ensemble:
-    rows = _read_csv(Path(path), ENSEMBLE_FIELDS)
-    if not rows:
+    table = _read_table(Path(path), ENSEMBLE_FIELDS)
+    if not table.size:
         raise RecordIOError(f"{path}: no ensemble rows")
-    try:
-        return _ensemble_from_arrays(
-            [float(r["mass"]) for r in rows],
-            [float(r["position"]) for r in rows],
-            [float(r["velocity"]) for r in rows],
-            [float(r["psi"]) for r in rows],
-            normalize=normalize)
-    except (KeyError, ValueError) as exc:
-        raise RecordIOError(f"malformed ensemble CSV: {exc}") from exc
+    return _ensemble_from_arrays(*table[:, 1:].T, normalize=normalize)
 
 
 # -- flux analysis exports ----------------------------------------------
@@ -314,12 +286,12 @@ def save_flux_analysis(analysis: FluxAnalysis, directory) -> Path:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     nodes = analysis.A.nodes
-    _write_csv(d / "flux.csv", ("m", "A", "A_star_star"),
-               [(_fmt(m), _fmt(a), _fmt(analysis.A_star_star(m)))
-                for m, a in zip(nodes, analysis.A.values)])
-    _write_csv(d / "regions.csv", ("m_lo", "m_hi", "label"),
-               [(_fmt(r.m_lo), _fmt(r.m_hi), r.label.value) for r in analysis.regions])
-    _write_csv(d / "subgroups.csv", ("m_lo", "m_hi", "psi", "forecast"),
-               [(_fmt(s.m_lo), _fmt(s.m_hi), _fmt(s.psi), s.forecast.value)
-                for s in analysis.subgroups])
+    _write_table(d / "flux.csv", ("m", "A", "A_star_star"),
+                 np.column_stack((nodes, analysis.A.values, analysis.A_star_star(nodes))))
+    _write_table(d / "regions.csv", ("m_lo", "m_hi", "label"),
+                 [(r.m_lo, r.m_hi, r.label.value) for r in analysis.regions],
+                 "%.17g,%.17g,%s")
+    _write_table(d / "subgroups.csv", ("m_lo", "m_hi", "psi", "forecast"),
+                 [(s.m_lo, s.m_hi, s.psi, s.forecast.value) for s in analysis.subgroups],
+                 "%.17g,%.17g,%.17g,%s")
     return d

@@ -197,6 +197,8 @@ def check_stickiness(record: SimulationRecord) -> CheckResult:
     """
     violations = 0
     for earlier, later in zip(record.snapshots, record.snapshots[1:]):
+        if np.array_equal(earlier.starts, later.starts):
+            continue
         foreign = np.setdiff1d(later.starts, earlier.starts)
         violations += np.unique(np.searchsorted(earlier.starts, foreign, side="right")).size
     return _result("stickiness", float(violations), 0.0)

@@ -304,7 +304,7 @@ def test_verify_malformed_record(tmp_path):
     out = tmp_path / "run"
     run_simulate(cfg, out, quiet=True)
     snaps = out / "snapshots.csv"
-    snaps.write_text(snaps.read_text().replace("t,cluster_id", "when,cluster_id"))
+    snaps.write_text(snaps.read_text().replace("t,position", "when,position"))
     assert run_verify(out, quiet=True) == EXIT_IO_ERROR
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -233,6 +233,9 @@ def scan_inputs(draw):
 
 
 @given(st.sampled_from(["exponential", "all_to_all"]), st.floats(0.1, 3.0), scan_inputs())
+@example("exponential", 2.0, (np.array([-800.0, -800.0, 800.0, 800.0]),
+                              np.array([-800.0, -800.0, 800.0, 800.0]),
+                              np.array([1.0, 1.0, 1e-3, 1e-3])))
 @settings(max_examples=300, deadline=None)
 def test_fast_convolve_and_energy_match_the_dense_sums(family, c, inputs):
     at, x, m = inputs

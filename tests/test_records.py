@@ -21,7 +21,7 @@ from stickyalign import (
     simulate,
     write_ensemble_csv,
 )
-from tests.conftest import ensemble_with_psi, random_scenario
+from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
 
 
 @pytest.fixture
@@ -34,28 +34,33 @@ def eventful_record(rng):
     return rec
 
 
+def _assert_same_bits(got, orig):
+    got, orig = np.asarray(got), np.asarray(orig)
+    assert (got.dtype, got.shape) == (orig.dtype, orig.shape)
+    assert got.tobytes() == orig.tobytes()
+
+
+def _assert_same_record(back, rec):
+    """Bit equality of everything a saved record carries."""
+    _assert_same_bits(back.times, rec.times)
+    assert back.kernel == rec.kernel
+    assert len(back.snapshots) == len(rec.snapshots)
+    for orig, got in zip(rec.snapshots, back.snapshots):
+        for field in ("positions", "velocities", "masses", "psi", "starts", "cell_masses",
+                      "cell_positions", "cell_velocities", "cell_psi"):
+            _assert_same_bits(getattr(got, field), getattr(orig, field))
+        got.validate()
+    fields = ("time", "first_index", "last_index", "post_velocity", "post_psi")
+    assert [tuple(getattr(e, f) for f in fields) for e in back.events] == \
+        [tuple(getattr(e, f) for f in fields) for e in rec.events]
+    assert all(e.pre_velocities is None for e in back.events)  # not serialized
+    _assert_same_bits(back.phi_integrals, rec.phi_integrals)
+    _assert_same_bits(back.v2_integrals, rec.v2_integrals)
+
+
 def test_round_trip_is_bit_exact(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    back = load_record(tmp_path)
-
-    np.testing.assert_array_equal(back.times, eventful_record.times)
-    assert back.kernel == eventful_record.kernel
-    for orig, got in zip(eventful_record.snapshots, back.snapshots):
-        np.testing.assert_array_equal(got.positions, orig.positions)
-        np.testing.assert_array_equal(got.velocities, orig.velocities)
-        np.testing.assert_array_equal(got.masses, orig.masses)
-        np.testing.assert_array_equal(got.psi, orig.psi)
-        np.testing.assert_array_equal(got.lineage, orig.lineage)
-        got.validate()
-    assert len(back.events) == len(eventful_record.events)
-    for orig, got in zip(eventful_record.events, back.events):
-        assert (got.time, got.first_index, got.last_index) == \
-            (orig.time, orig.first_index, orig.last_index)
-        assert got.post_velocity == orig.post_velocity
-        assert got.post_psi == orig.post_psi
-        assert got.pre_velocities is None  # not serialized
-    np.testing.assert_array_equal(back.phi_integrals, eventful_record.phi_integrals)
-    np.testing.assert_array_equal(back.v2_integrals, eventful_record.v2_integrals)
+    _assert_same_record(load_record(tmp_path), eventful_record)
 
 
 def test_save_load_save_is_idempotent(eventful_record, tmp_path):
@@ -85,15 +90,12 @@ def test_missing_accumulators_load_as_none(eventful_record, tmp_path):
 
 
 def test_random_scenarios_survive_round_trip(rng, tmp_path):
-    for i in range(5):
-        ens, kernel = random_scenario(rng, 20)
+    for i, kernel in enumerate(KERNEL_POOL * 2):
+        ens, _ = random_scenario(rng, 20, kernel=kernel)
         rec = simulate(ens, kernel, 2.0, 0.5)
         d = tmp_path / str(i)
         save_record(rec, d)
-        back = load_record(d)
-        for orig, got in zip(rec.snapshots, back.snapshots):
-            np.testing.assert_array_equal(got.positions, orig.positions)
-            np.testing.assert_array_equal(got.lineage, orig.lineage)
+        _assert_same_record(load_record(d), rec)
 
 
 # -- malformed inputs ----------------------------------------------------
@@ -139,7 +141,7 @@ def test_unknown_kernel_family(eventful_record, tmp_path):
 
 def test_wrong_snapshot_header(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    _tamper(tmp_path / "snapshots.csv", "t,cluster_id", "time,cluster_id")
+    _tamper(tmp_path / "snapshots.csv", "t,position", "time,position")
     with pytest.raises(RecordIOError, match="expected columns"):
         load_record(tmp_path)
 
@@ -162,16 +164,38 @@ def test_event_with_bad_cell_range(eventful_record, tmp_path):
         load_record(tmp_path)
 
 
-def test_inconsistent_snapshot_mass(eventful_record, tmp_path):
+def test_non_integer_event_index(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    _tamper(tmp_path / "snapshots.csv", "0.25,", "0.35,", count=1)
-    with pytest.raises(RecordIOError, match="pool its cells"):
+    lines = (tmp_path / "events.csv").read_text().splitlines()
+    first = lines[1].split(",")
+    first[1] = str(int(first[1]) + 0.5)
+    (tmp_path / "events.csv").write_text("\n".join([lines[0], ",".join(first)] + lines[2:]) + "\n")
+    with pytest.raises(RecordIOError, match="bad cell range"):
+        load_record(tmp_path)
+
+
+def test_ragged_snapshot_row(eventful_record, tmp_path):
+    save_record(eventful_record, tmp_path)
+    with open(tmp_path / "snapshots.csv", "a") as fh:
+        fh.write("4,1.0\n")
+    with pytest.raises(RecordIOError, match="malformed snapshots.csv"):
+        load_record(tmp_path)
+
+
+def test_old_snapshot_layout_refused(eventful_record, tmp_path):
+    save_record(eventful_record, tmp_path)
+    (tmp_path / "snapshots.csv").write_text(
+        "t,cluster_id,mass,position,velocity,psi\n" + "".join(
+            f"{float(t)!r},{i},{m!r},{x!r},{v!r},{p!r}\n"
+            for t, s in zip(eventful_record.times, eventful_record.snapshots)
+            for i, (m, x, v, p) in enumerate(zip(s.masses, s.positions, s.velocities, s.psi))))
+    with pytest.raises(RecordIOError, match="snapshots.csv: expected columns t,position,velocity"):
         load_record(tmp_path)
 
 
 def test_empty_snapshot_table(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    (tmp_path / "snapshots.csv").write_text("t,cluster_id,mass,position,velocity,psi\n")
+    (tmp_path / "snapshots.csv").write_text("t,position,velocity\n")
     with pytest.raises(RecordIOError, match="no rows"):
         load_record(tmp_path)
 
