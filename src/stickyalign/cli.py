@@ -48,7 +48,7 @@ from .exceptions import (
 )
 from .flux import analyze
 from .kernels import Kernel, kernel_from_config
-from .records import load_record, save_flux_analysis, save_record
+from .records import _write_table, load_record, save_flux_analysis, save_record
 from .verify import check_flocking, convergence_study, report_json, verify_record
 
 __all__ = ["main", "run_simulate", "run_predict", "run_verify", "run_converge"]
@@ -192,8 +192,8 @@ def _parse_time_grid(cfg: dict) -> tuple[float, float]:
         raise ConfigError(f"config needs {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad time grid: {exc}") from exc
-    if t_end <= 0.0 or snapshot_dt <= 0.0:
-        raise ConfigError("'t_end' and 'snapshot_dt' must be positive")
+    if not (0.0 < t_end < np.inf and 0.0 < snapshot_dt < np.inf):
+        raise ConfigError("'t_end' and 'snapshot_dt' must be finite and positive")
     return t_end, snapshot_dt
 
 
@@ -359,11 +359,8 @@ def run_converge(config_path, out_dir, seed: int | None = None,
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "convergence.csv", "w", newline="") as fh:
-            import csv as _csv
-            writer = _csv.writer(fh)
-            writer.writerow(("n", "n_fine", "sup_w2", "bound", "passed"))
-            writer.writerows(rows)
+        _write_table(out / "convergence.csv", ("n", "n_fine", "sup_w2", "bound", "passed"),
+                     rows, "%s,%s,%s,%s,%s")
     except OSError as exc:
         _warn(False, f"cannot write convergence table: {exc}")
         return EXIT_IO_ERROR

@@ -361,10 +361,10 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
     the next node), so records of the same scenario at refined ``snapshot_dt``
     share their coarse nodes.
     """
-    if t_end <= 0.0:
-        raise InvalidScenarioError(f"t_end must be positive, got {t_end}")
-    if snapshot_dt <= 0.0:
-        raise InvalidScenarioError(f"snapshot_dt must be positive, got {snapshot_dt}")
+    if not 0.0 < t_end < math.inf:
+        raise InvalidScenarioError(f"t_end must be finite and positive, got {t_end}")
+    if not 0.0 < snapshot_dt < math.inf:
+        raise InvalidScenarioError(f"snapshot_dt must be finite and positive, got {snapshot_dt}")
     tol = tolerances or Tolerances()
     nodes = _snapshot_nodes(t_end, snapshot_dt)
 

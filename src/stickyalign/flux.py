@@ -5,14 +5,11 @@ Everything here is computed from the *initial* data alone.  The flux
     A(m) = integral_0^m psi-bar   (piecewise linear, slopes = cell psi)
 
 and its lower convex envelope A** split the mass interval [0,1) into
-
-* supercritical cells, where A > A**: this mass clusters in finite time no
-  matter what the kernel does;
-* critical cells, where A = A** on a linear segment wider than the cell: the
-  segment is a cluster candidate whose fate depends on the kernel's origin
-  singularity;
-* subcritical cells, where the envelope slope strictly increases across both
-  cell boundaries: no clustering at this mass.
+supercritical cells (A > A**: this mass clusters in finite time whatever the
+kernel), critical cells (A = A** on a segment wider than the cell: a cluster
+candidate whose fate depends on the kernel's origin singularity) and
+subcritical cells (no clustering at this mass).  :func:`analyze` states the
+exact labeling and forecast rules.
 
 A maximal interval of constant A** slope is a *subgroup*: the mass that can
 ever aggregate.  Distinct subgroups have strictly increasing slopes (their
@@ -126,97 +123,73 @@ class FluxAnalysis:
     subgroups: tuple[Subgroup, ...]
 
     @property
+    def _edges(self) -> np.ndarray:
+        """First cell of each subgroup, then the cell count (hull vertices are A nodes)."""
+        return np.searchsorted(self.A.nodes, self.A_star_star.nodes)
+
+    @property
     def envelope_slopes_per_cell(self) -> np.ndarray:
         """A** slope over each cell (== isotonic fit of cell psi)."""
-        mids = 0.5 * (self.A.nodes[:-1] + self.A.nodes[1:])
-        seg = np.clip(np.searchsorted(self.A_star_star.nodes, mids, side="right") - 1,
-                      0, self.A_star_star.nodes.size - 2)
-        return self.A_star_star.slopes[seg]
+        return np.repeat(self.A_star_star.slopes, np.diff(self._edges))
 
     def subgroup_at(self, m: float) -> Subgroup:
-        """Subgroup whose half-open mass interval contains ``m``."""
-        for sg in self.subgroups:
-            if sg.m_lo <= m < sg.m_hi:
-                return sg
-        if m == self.subgroups[-1].m_hi:  # right endpoint convention
-            return self.subgroups[-1]
-        raise ValueError(f"mass coordinate {m} outside [0, 1]")
+        """Subgroup whose half-open mass interval contains ``m``; the last
+        subgroup at the right end of the mass interval."""
+        nodes = self.A_star_star.nodes
+        if not 0.0 <= m <= max(1.0, nodes[-1]):
+            raise ValueError(f"mass coordinate {m} outside [0, 1]")
+        k = int(np.searchsorted(nodes, m, side="right")) - 1
+        return self.subgroups[min(k, len(self.subgroups) - 1)]
 
 
-def _label_cells(A: PiecewiseLinear, hull: PiecewiseLinear,
-                 eps_env: float) -> list[RegionLabel]:
-    """Per-cell classification from the node gaps A - A**.
-
-    A cell is Supercritical iff the gap exceeds eps_env at either of its
-    endpoint nodes (the gap is linear within a cell, so that is equivalent to
-    exceeding it somewhere inside).  Otherwise the cell agrees with the
-    envelope; it is Critical when its hull segment spans more than one cell
-    (a linear piece of A** wider than the cell) and Subcritical when the cell
-    is a hull segment of its own (slope strictly increases at both ends).
-    """
-    gaps = A.values - hull(A.nodes)
-    # hull segment index containing each cell (cells never straddle vertices)
-    mids = 0.5 * (A.nodes[:-1] + A.nodes[1:])
-    seg = np.clip(np.searchsorted(hull.nodes, mids, side="right") - 1,
-                  0, hull.nodes.size - 2)
-    seg_cells = np.bincount(seg, minlength=hull.nodes.size - 1)
-    labels = []
-    for i in range(A.nodes.size - 1):
-        if gaps[i] > eps_env or gaps[i + 1] > eps_env:
-            labels.append(RegionLabel.SUPERCRITICAL)
-        elif seg_cells[seg[i]] > 1:
-            labels.append(RegionLabel.CRITICAL)
-        else:
-            labels.append(RegionLabel.SUBCRITICAL)
-    return labels
-
-
-def _forecast_for(cells: tuple[int, int], labels: list[RegionLabel],
-                  kernel: Kernel) -> Forecast:
-    a, b = cells
-    if b - a == 1:
-        return Forecast.NO_CLUSTER
-    sup = [lab is RegionLabel.SUPERCRITICAL for lab in labels[a:b]]
-    if kernel.reciprocal_phi_integrable_at_zero:
-        return Forecast.FINITE_TIME_CLUSTER
-    if all(sup):
-        # fully supercritical subgroups collapse in finite time for any kernel
-        return Forecast.FINITE_TIME_CLUSTER
-    if kernel.vanishes:
-        return Forecast.FINITE_TIME_CLUSTER if any(sup) else Forecast.NO_CLUSTER
-    return Forecast.INFINITE_TIME_CLUSTER
+_LABELS = tuple(RegionLabel)  # the label and forecast codes below index these
+_FORECASTS = tuple(Forecast)
 
 
 def analyze(ensemble: Ensemble, kernel: Kernel, eps_env: float | None = None) -> FluxAnalysis:
-    """Run the whole static pipeline on the initial data."""
+    """Run the whole static pipeline on the initial data.
+
+    A cell is Supercritical iff the gap A - A** exceeds ``eps_env`` at either
+    of its end nodes (the gap is linear within a cell, so that is equivalent
+    to exceeding it somewhere inside).  Otherwise the cell agrees with the
+    envelope; it is Critical when its hull segment spans more than one cell
+    (a linear piece of A** wider than the cell) and Subcritical when the cell
+    is a hull segment of its own (slope strictly increases at both ends).
+
+    The subgroups are exactly the hull segments (collinear nodes were popped,
+    so segment slopes strictly increase).  A one-cell subgroup does not
+    cluster.  A wider one clusters in finite time when 1/Phi is integrable at
+    the origin, or when all its cells are supercritical; under the vanishing
+    kernel it clusters in finite time iff any cell is supercritical and never
+    otherwise; for every other kernel it clusters in infinite time.
+    """
     A = build_flux(ensemble)
     hull = lower_convex_envelope(A)
     if eps_env is None:
         eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
-    labels = _label_cells(A, hull, eps_env)
+    edges = np.searchsorted(A.nodes, hull.nodes)
+    widths = np.diff(edges)
 
-    regions = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] is not labels[start]:
-            regions.append(Region(float(A.nodes[start]), float(A.nodes[i]), labels[start]))
-            start = i
+    above = A.values - hull(A.nodes) > eps_env
+    sup = above[:-1] | above[1:]
+    codes = np.where(sup, 0, np.where(np.repeat(widths > 1, widths), 1, 2))
+    labels = tuple(_LABELS[c] for c in codes.tolist())
+    cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), codes.size]
+    regions = tuple(Region(float(A.nodes[a]), float(A.nodes[b]), labels[a])
+                    for a, b in zip(cuts[:-1], cuts[1:]))
 
-    # subgroups are exactly the hull segments (collinear nodes were popped,
-    # so segment slopes strictly increase)
-    subgroups = []
-    for k in range(hull.nodes.size - 1):
-        lo, hi = float(hull.nodes[k]), float(hull.nodes[k + 1])
-        a = int(np.searchsorted(A.nodes, lo, side="left"))
-        b = int(np.searchsorted(A.nodes, hi, side="left"))
-        psi = float((hull.values[k + 1] - hull.values[k]) / (hi - lo))
-        cells = (a, b)
-        subgroups.append(Subgroup(lo, hi, cells, psi,
-                                  _forecast_for(cells, labels, kernel)))
+    n_sup = np.add.reduceat(sup.astype(np.intp), edges[:-1])
+    finite = (kernel.reciprocal_phi_integrable_at_zero | (n_sup == widths)
+              | (kernel.vanishes & (n_sup > 0)))
+    fates = np.where(widths == 1, 0, np.where(finite, 1, 0 if kernel.vanishes else 2))
+    subgroups = tuple(
+        Subgroup(lo, hi, (a, b), psi, _FORECASTS[f])
+        for lo, hi, a, b, psi, f in zip(hull.nodes[:-1].tolist(), hull.nodes[1:].tolist(),
+                                        edges[:-1].tolist(), edges[1:].tolist(),
+                                        hull.slopes.tolist(), fates.tolist()))
 
-    return FluxAnalysis(kernel=kernel, A=A, A_star_star=hull,
-                        cell_labels=tuple(labels), regions=tuple(regions),
-                        subgroups=tuple(subgroups))
+    return FluxAnalysis(kernel=kernel, A=A, A_star_star=hull, cell_labels=labels,
+                        regions=regions, subgroups=subgroups)
 
 
 def predicted_partition(analysis: FluxAnalysis, ensemble: Ensemble) -> list[tuple[int, int]]:
@@ -225,40 +198,28 @@ def predicted_partition(analysis: FluxAnalysis, ensemble: Ensemble) -> list[tupl
     Weakly singular kernels collapse every non-singleton subgroup; all other
     kernels collapse exactly the maximal supercritical cell runs by any
     finite time.  Cells pre-merged at construction (initial clusters) stay
-    together regardless, so those bonds are OR-ed in.
+    together regardless, so only an initial cluster start can be a cut.
     """
-    n = ensemble.n_cells
-    bound = np.zeros(max(n - 1, 0), dtype=bool)  # bond between cell i and i+1
-
+    cuts = ensemble.starts[1:]
     if analysis.kernel.reciprocal_phi_integrable_at_zero:
-        for sg in analysis.subgroups:
-            a, b = sg.cells
-            bound[a:b - 1] = True
+        cuts = cuts[np.isin(cuts, analysis._edges)]
     else:
-        labels = analysis.cell_labels
-        for i in range(n - 1):
-            if labels[i] is RegionLabel.SUPERCRITICAL and labels[i + 1] is RegionLabel.SUPERCRITICAL:
-                bound[i] = True
-
-    lin = ensemble.lineage
-    bound |= (lin[1:] == lin[:-1])
-
-    blocks = []
-    start = 0
-    for i in range(n - 1):
-        if not bound[i]:
-            blocks.append((start, i + 1))
-            start = i + 1
-    blocks.append((start, n))
-    return blocks
+        # compare objects: against a plain str-valued member numpy compares strings
+        sup = (np.asarray(analysis.cell_labels, dtype=object)
+               == np.array(RegionLabel.SUPERCRITICAL, dtype=object))
+        cuts = cuts[~(sup[cuts - 1] & sup[cuts])]
+    bounds = [0, *cuts.tolist(), ensemble.n_cells]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _segment_slope_at(analysis: FluxAnalysis, m: float) -> float:
-    """Right-derivative of A** at mass m (left limit at m = 1)."""
-    hull = analysis.A_star_star
-    k = int(np.searchsorted(hull.nodes, m, side="right")) - 1
-    k = min(max(k, 0), hull.nodes.size - 2)
-    return float(hull.slopes[k])
+def _inv_big_phi(kernel: Kernel, y: float) -> float | None:
+    """Phi^{-1}(y), or None when ``y`` is outside the primitive's range."""
+    if y >= kernel.big_phi_sup:
+        return None
+    try:
+        return float(kernel.inv_big_phi(y))
+    except KernelRangeError:
+        return None
 
 
 def separation_bound(analysis: FluxAnalysis, initial: QuantileFunction,
@@ -271,20 +232,14 @@ def separation_bound(analysis: FluxAnalysis, initial: QuantileFunction,
     eta = 2 Phi^{-1}(sigma/2) (infinite when sigma/2 is out of Phi's range),
     so the gap stays at least min(initial gap, eta).
     """
-    psi1 = _segment_slope_at(analysis, m1)
-    psi2 = _segment_slope_at(analysis, m2)
+    psi1 = analysis.subgroup_at(m1).psi
+    psi2 = analysis.subgroup_at(m2).psi
     if not psi1 < psi2:
         raise ValueError(
             f"separation bound needs increasing subgroup velocities; got {psi1} !< {psi2}")
     sigma = 0.5 * (psi2 - psi1)
-    kernel = analysis.kernel
-    if kernel.vanishes or 0.5 * sigma >= kernel.big_phi_sup:
-        eta = math.inf
-    else:
-        try:
-            eta = 2.0 * kernel.inv_big_phi(0.5 * sigma)
-        except KernelRangeError:
-            eta = math.inf
+    inv = _inv_big_phi(analysis.kernel, 0.5 * sigma)
+    eta = math.inf if inv is None else 2.0 * inv
     gap0 = float(initial(m2)) - float(initial(m1))
     return min(gap0, eta)
 
@@ -310,16 +265,7 @@ def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> Floc
     if gap > l1:
         return FlockingThresholds(Regime.THIN_TAIL_DIVERGE, rate=gap - l1,
                                   lower=None, upper=None)
-    span = sg2.m_hi - sg1.m_lo
-
-    def _inv(y: float) -> float | None:
-        if y >= kernel.big_phi_sup:
-            return None
-        try:
-            return float(kernel.inv_big_phi(y))
-        except KernelRangeError:
-            return None
-
+    lower = _inv_big_phi(kernel, 0.5 * gap)
     return FlockingThresholds(Regime.FAT_TAIL_BOUND, rate=None,
-                              lower=None if (lo := _inv(0.5 * gap)) is None else 2.0 * lo,
-                              upper=_inv(gap / span))
+                              lower=None if lower is None else 2.0 * lower,
+                              upper=_inv_big_phi(kernel, gap / (sg2.m_hi - sg1.m_lo)))

@@ -43,7 +43,7 @@ share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -430,11 +430,11 @@ class CompactBump(Kernel):
 
 
 _FAMILIES = {
-    "zero": (Zero, ()),
-    "all_to_all": (AllToAll, ("K",)),
-    "power_law": (PowerLaw, ("c", "beta", "R")),
-    "exponential": (Exponential, ("a",)),
-    "compact_bump": (CompactBump, ("radius", "height")),
+    "zero": Zero,
+    "all_to_all": AllToAll,
+    "power_law": PowerLaw,
+    "exponential": Exponential,
+    "compact_bump": CompactBump,
 }
 
 
@@ -448,11 +448,12 @@ def kernel_from_config(cfg: dict) -> Kernel:
     name = cfg["type"]
     if name not in _FAMILIES:
         raise ValueError(f"unknown kernel type {name!r}; choose from {sorted(_FAMILIES)}")
-    cls, fields = _FAMILIES[name]
-    extra = set(cfg) - {"type"} - set(fields)
+    cls = _FAMILIES[name]
+    names = [f.name for f in fields(cls)]
+    extra = set(cfg) - {"type"} - set(names)
     if extra:
         raise ValueError(f"unexpected kernel fields for {name!r}: {sorted(extra)}")
-    kwargs = {f: float(cfg[f]) for f in fields if f in cfg}
+    kwargs = {f: float(cfg[f]) for f in names if f in cfg}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -461,9 +462,7 @@ def kernel_from_config(cfg: dict) -> Kernel:
 
 def kernel_to_config(kernel: Kernel) -> dict:
     """Inverse of :func:`kernel_from_config`."""
-    for name, (cls, fields) in _FAMILIES.items():
+    for name, cls in _FAMILIES.items():
         if type(kernel) is cls:
-            out = {"type": name}
-            out.update({f: getattr(kernel, f) for f in fields})
-            return out
+            return {"type": name, **asdict(kernel)}
     raise ValueError(f"unregistered kernel type {type(kernel)!r}")

@@ -129,7 +129,7 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
     if extra_metadata:
         meta.update(extra_metadata)
     with open(d / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh)
         fh.write("\n")
     return d
 

@@ -161,6 +161,8 @@ def test_simulate_normalizes_masses_with_warning(tmp_path, capsys):
     lambda c: {k: v for k, v in c.items() if k != "particles"},  # no source
     lambda c: dict(c, particles=dict(c["particles"], positions=[1.0, -1.0])),
     lambda c: dict(c, tolerances={"atol": 1e-10, "bogus": 1.0}),
+    lambda c: dict(c, t_end=float("nan")),  # JSON NaN and Infinity parse as floats
+    lambda c: dict(c, snapshot_dt=float("inf")),
 ])
 def test_simulate_config_errors(tmp_path, mangle, capsys):
     cfg = write_config(tmp_path, mangle(dict(HEAD_ON)))

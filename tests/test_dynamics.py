@@ -475,6 +475,14 @@ def test_invalid_horizons():
         step(ens, Zero(), 0.0)
 
 
+@pytest.mark.parametrize("t_end, snapshot_dt", [
+    (float("nan"), 0.25), (float("inf"), 0.25), (1.0, float("nan")), (1.0, float("inf"))])
+def test_non_finite_horizons_refused(t_end, snapshot_dt):
+    ens = two_body(0.5, -1.0, 0.0, 0.5, 1.0, 0.0, Zero())
+    with pytest.raises(InvalidScenarioError, match="finite"):
+        simulate(ens, Zero(), t_end, snapshot_dt)
+
+
 def test_unattainable_tolerance_aborts():
     # a genuinely moving state (v = 0 would sit at an equilibrium of the
     # frozen-psi flow and never produce truncation error at all)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stickyalign import (
     AllToAll,
@@ -17,11 +19,13 @@ from stickyalign import (
     analyze,
     build_flux,
     flocking_thresholds,
+    lower_convex_envelope,
     predicted_partition,
     separation_bound,
     simulate,
 )
-from tests.conftest import ensemble_with_psi, random_scenario
+from stickyalign.flux import Region, Subgroup
+from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
 
 QUARTERS = [0.25, 0.25, 0.25, 0.25]
 
@@ -159,6 +163,22 @@ class TestMixedScenario:
         assert rec.partition_at(10.0) == predicted_partition(an, ens)
 
 
+def test_subgroup_at_right_end_of_rounded_mass():
+    # masses 1:4:1 normalize to cell masses whose running sum ends at
+    # 0.9999999999999999, so the mass coordinate 1.0 lies past the last node
+    kernel = AllToAll(1.0)
+    ens = Ensemble.from_particles([1.0, 4.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                  kernel, normalize=True)
+    an = analyze(ens, kernel)
+    assert an.A.nodes[-1] < 1.0
+    assert an.subgroup_at(1.0) is an.subgroups[-1]
+    assert an.subgroup_at(float(an.A.nodes[-1])) is an.subgroups[-1]
+    with pytest.raises(ValueError):
+        an.subgroup_at(1.0 + 1e-9)
+    with pytest.raises(ValueError):
+        an.subgroup_at(-1e-9)
+
+
 def test_initial_clusters_stay_bonded():
     # two coincident particles with otherwise increasing psi: the pre-merged
     # bond survives in the forecast even though the flux says subcritical
@@ -208,6 +228,121 @@ def test_eps_env_override():
     ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0], kernel)
     an = analyze(ens, kernel, eps_env=10.0)  # swallow the whole tent
     assert RegionLabel.SUPERCRITICAL not in an.cell_labels
+
+
+# -- array code against the per-cell loops it replaced -------------------
+
+
+def _oracle_labels(A, hull, eps_env):
+    gaps = A.values - hull(A.nodes)
+    mids = 0.5 * (A.nodes[:-1] + A.nodes[1:])
+    seg = np.clip(np.searchsorted(hull.nodes, mids, side="right") - 1,
+                  0, hull.nodes.size - 2)
+    seg_cells = np.bincount(seg, minlength=hull.nodes.size - 1)
+    labels = []
+    for i in range(A.nodes.size - 1):
+        if gaps[i] > eps_env or gaps[i + 1] > eps_env:
+            labels.append(RegionLabel.SUPERCRITICAL)
+        elif seg_cells[seg[i]] > 1:
+            labels.append(RegionLabel.CRITICAL)
+        else:
+            labels.append(RegionLabel.SUBCRITICAL)
+    return labels, hull.slopes[seg]
+
+
+def _oracle_forecast(cells, labels, kernel):
+    a, b = cells
+    if b - a == 1:
+        return Forecast.NO_CLUSTER
+    sup = [lab is RegionLabel.SUPERCRITICAL for lab in labels[a:b]]
+    if kernel.reciprocal_phi_integrable_at_zero:
+        return Forecast.FINITE_TIME_CLUSTER
+    if all(sup):
+        return Forecast.FINITE_TIME_CLUSTER
+    if kernel.vanishes:
+        return Forecast.FINITE_TIME_CLUSTER if any(sup) else Forecast.NO_CLUSTER
+    return Forecast.INFINITE_TIME_CLUSTER
+
+
+def _oracle(ens, kernel, eps_env):
+    """Labels, regions, subgroups, per-cell envelope slopes and predicted
+    partition, one cell, hull segment or bond at a time."""
+    A = build_flux(ens)
+    hull = lower_convex_envelope(A)
+    if eps_env is None:
+        eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
+    labels, slopes = _oracle_labels(A, hull, eps_env)
+    regions = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] is not labels[start]:
+            regions.append(Region(float(A.nodes[start]), float(A.nodes[i]), labels[start]))
+            start = i
+    subgroups = []
+    for k in range(hull.nodes.size - 1):
+        lo, hi = float(hull.nodes[k]), float(hull.nodes[k + 1])
+        a = int(np.searchsorted(A.nodes, lo, side="left"))
+        b = int(np.searchsorted(A.nodes, hi, side="left"))
+        psi = float((hull.values[k + 1] - hull.values[k]) / (hi - lo))
+        subgroups.append(Subgroup(lo, hi, (a, b), psi,
+                                  _oracle_forecast((a, b), labels, kernel)))
+    n = ens.n_cells
+    bound = np.zeros(n - 1, dtype=bool)
+    if kernel.reciprocal_phi_integrable_at_zero:
+        for sg in subgroups:
+            bound[sg.cells[0]:sg.cells[1] - 1] = True
+    else:
+        for i in range(n - 1):
+            if labels[i] is RegionLabel.SUPERCRITICAL and labels[i + 1] is RegionLabel.SUPERCRITICAL:
+                bound[i] = True
+    bound |= ens.lineage[1:] == ens.lineage[:-1]
+    blocks = []
+    start = 0
+    for i in range(n - 1):
+        if not bound[i]:
+            blocks.append((start, i + 1))
+            start = i + 1
+    blocks.append((start, n))
+    return tuple(labels), tuple(regions), tuple(subgroups), slopes, blocks
+
+
+_cells = st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4), st.integers(-3, 3)),
+                  min_size=1, max_size=30)
+
+
+@given(kernel=st.sampled_from(KERNEL_POOL), cells=_cells,
+       psi_mode=st.sampled_from(["given", "increasing", "raw"]),
+       eps_env=st.sampled_from([None, None, None, 0.3]))
+@example(kernel=Zero(), cells=[(1, 0, 0)], psi_mode="given", eps_env=None)  # N = 1
+@example(kernel=PowerLaw(1.0, 0.5, 1.0), cells=[(1, 0, 2), (2, 0, -1), (1, 1, 0)],
+         psi_mode="given", eps_env=None)  # coincident positions
+@example(kernel=AllToAll(0.8), cells=[(1, -1, 1), (2, 0, 1), (1, 1, 1), (3, 2, 2)],
+         psi_mode="given", eps_env=None)  # repeated psi: a critical run
+@example(kernel=Exponential(0.9), cells=[(1, -1, 3), (1, 0, 1), (2, 1, 0)],
+         psi_mode="increasing", eps_env=None)
+@example(kernel=Zero(), cells=[(1, -1, 1), (1, 1, -1)], psi_mode="given", eps_env=10.0)
+@settings(max_examples=300, deadline=None)
+def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode, eps_env):
+    m, x, p = (np.array(c, dtype=float) for c in zip(*cells))
+    x = np.sort(x) / 2.0
+    if psi_mode == "raw":  # p as raw velocities, psi through the kernel
+        ens = Ensemble.from_particles(m, x, p, kernel, normalize=True)
+    else:
+        psi = np.cumsum(np.abs(p) + 1.0) - 5.0 if psi_mode == "increasing" else p
+        ens = Ensemble._from_cells(m, x, np.zeros_like(m), psi, normalize=True)
+    labels, regions, subgroups, slopes, blocks = _oracle(ens, kernel, eps_env)
+    an = analyze(ens, kernel, eps_env)
+    assert an.cell_labels == labels
+    assert an.regions == regions
+    assert an.subgroups == subgroups
+    assert (np.array([sg.psi for sg in an.subgroups]).tobytes()
+            == np.array([sg.psi for sg in subgroups]).tobytes())
+    assert an.envelope_slopes_per_cell.tobytes() == slopes.tobytes()
+    assert predicted_partition(an, ens) == blocks
+    for sg in subgroups:
+        assert an.subgroup_at(sg.m_lo) == sg
+        assert an.subgroup_at(0.5 * (sg.m_lo + sg.m_hi)) == sg
+    assert an.subgroup_at(1.0) == an.subgroup_at(subgroups[-1].m_hi) == subgroups[-1]
 
 
 # -- separation bound ----------------------------------------------------
