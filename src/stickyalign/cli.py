@@ -247,8 +247,11 @@ def run_simulate(config_path, out_dir, seed: int | None = None,
     except (OSError, RecordIOError) as exc:
         _warn(False, f"cannot write record: {exc}")
         return EXIT_IO_ERROR
+    st = record.stats
     _say(quiet, f"simulated to t={record.times[-1]:g}: {len(record.events)} merge "
-                f"event(s), {record.snapshots[-1].n_clusters} final cluster(s) "
+                f"event(s), {record.snapshots[-1].n_clusters} final cluster(s); "
+                f"{st['accepted']} step(s), {st['rejected']} rejected, "
+                f"{st['capped']} contact-capped, {st['rhs_evals']} rhs evaluation(s) "
                 f"-> {out_dir}")
     return EXIT_OK
 

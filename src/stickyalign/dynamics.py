@@ -10,10 +10,14 @@ weakly singular kernels are as smooth to the integrator as bounded ones.
 Collisions are events: an adjacent gap reaching the contact threshold stops
 the step, the instant is localized by bisection on the cubic-Hermite dense
 output of the accepted Dormand-Prince 5(4) step, and the touching clusters
-merge inelastically.  The merge rule at one instant is the tangent-cone
-projection of velocities: within each maximal run of contact pairs the
-velocities are projected, mass-weighted, onto the nondecreasing ones by
-blockwise pool-adjacent-violators, which conserves momentum.
+merge inelastically.  Each step is capped at the time to the nearest
+contact of a closing pair; a capped step that the error control accepts at
+its first trial hands the size it had before the cap to the next step, so
+the step size does not regrow from the cap after every event.  The merge
+rule at one instant is the tangent-cone projection of velocities: within
+each maximal run of contact pairs the velocities are projected,
+mass-weighted, onto the nondecreasing ones by blockwise
+pool-adjacent-violators, which conserves momentum.
 
 Zero-measure integrals for later verification (the per-cell convolution
 integral of the projection formula, and the dissipation integral of the
@@ -25,7 +29,7 @@ of snapshot nodes and event times, giving clean first-order convergence as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,10 +100,17 @@ class MergeEvent:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One accepted step.  ``rejected`` counts the trials the error control
+    refused first, ``capped`` says whether the time to the nearest contact
+    shortened the first trial, and ``rhs_evals`` counts right-hand sides."""
+
     ensemble: Ensemble
     events: tuple[MergeEvent, ...]
     dt_taken: float
     dt_next: float
+    rejected: int
+    capped: bool
+    rhs_evals: int
 
 
 def drift(ensemble: Ensemble, kernel: Kernel) -> np.ndarray:
@@ -275,6 +286,7 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
     rhs = _make_rhs(ensemble.masses, ensemble.psi, kernel)
     k1 = rhs(x0)
     h = min(dt_hint, dt_max) if dt_hint else _initial_dt(x0, k1, tol, dt_max)
+    h_hinted = h
     # Never let one step fully traverse a closing gap: beyond the contact the
     # stages would oscillate across the pair and the dense output could miss
     # the crossing entirely.  Capping at the time-to-contact of the fastest
@@ -288,6 +300,8 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
         # Keep the cap above the underflow guard; a pair closer than that
         # simply overlaps within the step and is merged by the usual trigger.
         h = min(h, max(h_contact, 2e-14 * max(1.0, abs(t))))
+    capped = h < h_hinted
+    rejected = 0
     while True:
         if h < 1e-14 * max(1.0, abs(t)):
             raise NumericalAbortError(
@@ -297,18 +311,24 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
         if errnorm <= 1.0:
             break
         h *= max(0.2, 0.9 * errnorm ** -0.2)
+        h_hinted = h
+        rejected += 1
     factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
-    dt_next = h * factor
+    # The contact cap says nothing about accuracy: a capped step that passed
+    # at the first trial hands the size accepted before the cap on.
+    dt_next = h * factor if h == h_hinted else max(h * factor, h_hinted)
 
     s_tol = TAU_EVENT * max(1.0, abs(t) + h) / h
     s_star = _first_trigger(x0, k1, x1, k7, h, eps, s_tol)
     if s_star is None:
-        return StepResult(ensemble.evolved(x1, k7), (), h, dt_next)
+        return StepResult(ensemble.evolved(x1, k7), (), h, dt_next,
+                          rejected, capped, 7 + 6 * rejected)
 
     x_ev = _hermite(s_star, x0, k1, x1, k7, h)
     v_ev = rhs(x_ev)
     post, events = _cascade(ensemble.evolved(x_ev, v_ev), t + s_star * h, eps)
-    return StepResult(post, tuple(events), s_star * h, dt_next)
+    return StepResult(post, tuple(events), s_star * h, dt_next,
+                      rejected, capped, 8 + 6 * rejected)
 
 
 @dataclass
@@ -317,7 +337,9 @@ class SimulationRecord:
 
     ``phi_integrals[k, i]`` is the per-cell integral of (Phi * rho_s) along
     the cell's cluster trajectory up to ``times[k]``; ``v2_integrals[k]`` the
-    integral of the mass-weighted squared velocity norm.
+    integral of the mass-weighted squared velocity norm.  ``stats`` holds the
+    solver's counts of accepted steps, rejected trials, right-hand-side
+    evaluations and contact-capped steps; a loaded record has none.
     """
 
     kernel: Kernel
@@ -327,6 +349,7 @@ class SimulationRecord:
     events: list[MergeEvent]
     phi_integrals: np.ndarray
     v2_integrals: np.ndarray
+    stats: dict[str, int] = field(default_factory=dict)
 
     def index_at(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
@@ -391,6 +414,7 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
         acc_v2 = acc_v2 + dt * float(np.sum(state_mark.masses * state_mark.velocities ** 2))
         t_mark = t_new
 
+    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals", "capped"), 0)
     t = 0.0
     dt_hint: float | None = None
     for target in nodes[1:]:
@@ -400,6 +424,10 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
                 t = target
                 break
             res = step(state, kernel, remaining, tol, t=t, dt_hint=dt_hint)
+            stats["accepted"] += 1
+            stats["rejected"] += res.rejected
+            stats["rhs_evals"] += res.rhs_evals
+            stats["capped"] += res.capped
             t_new = t + res.dt_taken
             if res.events:
                 accumulate_to(t_new)
@@ -418,4 +446,4 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
     return SimulationRecord(kernel=kernel, initial=ensemble,
                             times=np.array(times), snapshots=snaps, events=events,
                             phi_integrals=np.vstack(phi_rows),
-                            v2_integrals=np.array(v2_vals))
+                            v2_integrals=np.array(v2_vals), stats=stats)

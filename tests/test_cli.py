@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import stickyalign
-from stickyalign import load_record
+from stickyalign import cli, load_record, simulate as _simulate
 from stickyalign.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -83,6 +83,20 @@ def test_simulate_happy_path(tmp_path):
     assert meta["config"]["kernel"] == {"type": "zero"}
     assert set(meta["versions"]) == {"stickyalign", "numpy", "scipy", "python"}
     assert meta["wall_time_s"] >= 0.0
+
+
+def test_simulate_summary_reports_solver_counts(tmp_path, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(cli, "_simulate", lambda *a: made.append(_simulate(*a)) or made[-1])
+    cfg = write_config(tmp_path, HEAD_ON)
+    assert run_simulate(cfg, tmp_path / "run", quiet=False) == EXIT_OK
+    st = made[0].stats
+    assert st["accepted"] > 0 and st["rhs_evals"] >= 7 * st["accepted"]
+    assert (f"{st['accepted']} step(s), {st['rejected']} rejected, {st['capped']} "
+            f"contact-capped, {st['rhs_evals']} rhs evaluation(s)") in capsys.readouterr().out
+    # the counts are not persisted: a loaded record has none
+    assert "stats" not in json.loads((tmp_path / "run" / "metadata.json").read_text())
+    assert load_record(tmp_path / "run").stats == {}
 
 
 def test_simulate_is_deterministic(tmp_path):

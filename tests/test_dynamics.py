@@ -21,7 +21,8 @@ from stickyalign import (
     simulate,
     step,
 )
-from stickyalign.dynamics import _A, _E, _attempt, _cascade, _first_trigger, _hermite
+from stickyalign import dynamics
+from stickyalign.dynamics import _A, _E, _attempt, _cascade, _error_norm, _first_trigger, _hermite
 from tests.conftest import dyadic_masses, random_scenario
 
 
@@ -451,6 +452,64 @@ def test_step_result_contract(rng):
     assert res.ensemble.n_cells == ens.n_cells
     np.testing.assert_allclose(res.ensemble.velocities,
                                drift(res.ensemble, kernel), rtol=1e-12, atol=1e-12)
+
+
+def test_contact_cap_keeps_the_hinted_step():
+    # a fast closing pair caps the step at its time to contact (0.05), far
+    # below the hint; the capped trial passes, so the next step starts from
+    # the hint and not from 5 times the capped step
+    ens = two_body(0.5, -1.0, 20.0, 0.5, 1.0, -20.0, Zero())
+    dt_hint = 1.0
+    res = step(ens, Zero(), 10.0, t=0.0, dt_hint=dt_hint)
+    assert res.capped and res.rejected == 0
+    assert res.dt_taken == pytest.approx(0.05)
+    assert len(res.events) == 1
+    assert res.dt_next >= dt_hint
+
+
+@pytest.mark.parametrize("dt_hint", [1e-3, 5.0])
+def test_uncapped_step_keeps_the_error_controller(dt_hint):
+    # a separating pair never caps; dt_next is h * factor of the accepted h,
+    # after a rejection (the large hint) as well as without one
+    kernel = Exponential(1.0)
+    ens = two_body(0.5, -1.0, -1.0, 0.5, 1.0, 1.0, kernel)
+    res = step(ens, kernel, 10.0, t=0.0, dt_hint=dt_hint)
+    assert not res.capped and not res.events
+    assert (res.rejected > 0) == (dt_hint > 1.0)
+    h = res.dt_taken
+    x0 = ens.positions
+    x1, _, err = _attempt(x0, drift(ens, kernel), h, dynamics._make_rhs(ens.masses, ens.psi, kernel))
+    errnorm = _error_norm(err, x0, x1, Tolerances())
+    assert res.dt_next == h * min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
+
+
+def test_step_count_regression(monkeypatch):
+    # the contact cap no longer resets the step size: 280 steps here, where
+    # regrowing from every capped step took 549; the solver counts of the
+    # record agree with wrappers around step and the right-hand side
+    kernel = PowerLaw(c=1.0, beta=0.5, R=1.0)
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.normal(size=40))
+    v = rng.normal(size=40)
+    ens = Ensemble.from_particles(np.full(40, 1.0 / 40), x, v, kernel)
+    results, rhs_calls = [], []
+    inner, make_rhs = dynamics.step, dynamics._make_rhs
+
+    def counting_rhs(*args):
+        rhs = make_rhs(*args)
+        return lambda y: rhs_calls.append(1) or rhs(y)
+
+    monkeypatch.setattr(dynamics, "_make_rhs", counting_rhs)
+    monkeypatch.setattr(dynamics, "step",
+                        lambda *a, **kw: results.append(inner(*a, **kw)) or results[-1])
+    rec = simulate(ens, kernel, 4.0, 0.25)
+    assert len(results) < 350
+    assert len(rec.events) == 26
+    assert rec.stats == {"accepted": len(results),
+                         "rejected": sum(r.rejected for r in results),
+                         "rhs_evals": len(rhs_calls),
+                         "capped": sum(r.capped for r in results)}
+    assert rec.stats["rejected"] > 0 and rec.stats["capped"] > 0
 
 
 def test_drift_formula(rng):
