@@ -12,8 +12,9 @@ the step, the instant is localized by bisection on the cubic-Hermite dense
 output of the accepted Dormand-Prince 5(4) step, and the touching clusters
 merge inelastically.  Each step is capped at the time to the nearest
 contact of a closing pair; a capped step that the error control accepts at
-its first trial hands the size it had before the cap to the next step, so
-the step size does not regrow from the cap after every event.  The merge
+its first trial hands the size it was offered before the cap (the previous
+step's suggestion) to the next step, whose error control tests it, so the
+step size does not regrow from the cap after every event.  The merge
 rule at one instant is the tangent-cone projection of velocities: within
 each maximal run of contact pairs the velocities are projected,
 mass-weighted, onto the nondecreasing ones by blockwise
@@ -315,7 +316,8 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
         rejected += 1
     factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
     # The contact cap says nothing about accuracy: a capped step that passed
-    # at the first trial hands the size accepted before the cap on.
+    # at its first trial hands on the size it was offered before the cap (the
+    # previous step's suggestion), for the next step's error control to test.
     dt_next = h * factor if h == h_hinted else max(h * factor, h_hinted)
 
     s_tol = TAU_EVENT * max(1.0, abs(t) + h) / h

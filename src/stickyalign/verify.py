@@ -127,21 +127,6 @@ def _oleinik(flux: PiecewiseLinear, snapshots, tolerance: float) -> CheckResult:
     return _result("oleinik_entropy", np.max(excess, initial=floor), tolerance)
 
 
-def _one_event(event: MergeEvent, cell_psi, cell_masses, tolerance):
-    """The flux up to the event's last cell, its cell range and the tolerance.
-
-    The flux starts at cell 0, not at the range: its prefix sums are then the
-    whole flux's bit for bit, and each residual equals the one
-    :func:`verify_record` reports for the same event."""
-    psi, m = np.asarray(cell_psi, dtype=float), np.asarray(cell_masses, dtype=float)
-    lo, hi = event.first_index, event.last_index + 1
-    if lo < 0 or hi - lo < 2 or hi > psi.size or m.shape != psi.shape:
-        raise InvalidScenarioError(f"event range [{event.first_index}, {event.last_index}] "
-                                   f"incompatible with {psi.size} cells")
-    tol = default_tolerance(psi) if tolerance is None else tolerance
-    return cumulative_primitive(psi[:hi], m[:hi]), lo, hi, tol
-
-
 def check_barycentric(event: MergeEvent, cell_psi, cell_masses,
                       tolerance: float | None = None) -> CheckResult:
     """Merged psi lies between every suffix mean and prefix mean of its cells.
@@ -150,17 +135,14 @@ def check_barycentric(event: MergeEvent, cell_psi, cell_masses,
     part must not exceed ``post_psi`` and the mean of the left part must not
     fall below it; the residual is the worst violation over all splits.
     """
-    flux, lo, hi, tol = _one_event(event, cell_psi, cell_masses, tolerance)
-    excess = _chord_excess(flux, np.array([lo]), np.array([hi]), np.array([event.post_psi]))
-    return _result("barycentric", np.max(excess), tol)
+    return _event_checks([event], cell_psi, cell_masses, tolerance)[1]
 
 
 def check_rankine_hugoniot(event: MergeEvent, cell_psi, cell_masses,
                            tolerance: float | None = None) -> CheckResult:
     """post_psi equals the chord slope of the flux over the merged mass range
     (the mass-weighted mean of the constituent cell psi)."""
-    flux, lo, hi, tol = _one_event(event, cell_psi, cell_masses, tolerance)
-    return _result("rankine_hugoniot", abs(event.post_psi - _chord(flux, lo, hi)), tol)
+    return _event_checks([event], cell_psi, cell_masses, tolerance)[2]
 
 
 def check_oleinik_entropy(record: SimulationRecord, t: float,

@@ -26,7 +26,6 @@ from stickyalign.flux import Regime
 from stickyalign.verify import (
     _chord,
     _chord_excess,
-    _event_checks,
     check_barycentric,
     check_conservation,
     check_dissipation,
@@ -178,44 +177,6 @@ def test_chord_excess_matches_the_per_check_formulas(cells, singletons):
         mean = np.sum(m[a:b] * psi[a:b]) / np.sum(m[a:b])
         assert abs(float(_chord(flux, a, b)) - mean) <= tol
         assert check_rankine_hugoniot(event, psi, m).residual == abs(s - _chord(flux, a, b))
-
-
-@given(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-10.0, 10.0)), min_size=2, max_size=40),
-       st.lists(st.tuples(st.integers(0, 39), st.integers(2, 40), st.floats(-10.0, 10.0)),
-                min_size=1, max_size=8),
-       st.one_of(st.none(), st.floats(0.0, 1.0)))
-@settings(max_examples=300, deadline=None)
-def test_per_event_checks_match_the_vectorized_event_checks(cells, ranges, tolerance):
-    # each public per-event check builds its own flux; its result must be the
-    # one the vectorized checks of verify_record give for that event, bit for bit
-    m = np.array([c[0] for c in cells])
-    m /= np.sum(m)
-    psi = np.array([c[1] for c in cells])
-    n = m.size
-    events = [MergeEvent(time=0.0, first_index=min(a, n - 2), last_index=min(a + w, n) - 1,
-                         post_velocity=0.0, post_psi=s)
-              for a, w, s in ranges]
-    _, bary, rh = _event_checks(events, psi, m, tolerance)
-    singles = [_event_checks([ev], psi, m, tolerance)[1:] for ev in events]
-    for ev, (one_bary, one_rh) in zip(events, singles):
-        for check, want in ((check_barycentric, one_bary), (check_rankine_hugoniot, one_rh)):
-            assert check(ev, psi, m, tolerance) == want
-    assert bary.residual == max(one_bary.residual for one_bary, _ in singles)
-    assert rh.residual == max(one_rh.residual for _, one_rh in singles)
-
-
-@pytest.mark.parametrize("first, last, n_psi, n_m", [
-    (-1, 1, 3, 3), (1, 1, 3, 3), (0, 3, 3, 3), (0, 1, 3, 2)])
-def test_per_event_checks_refuse_bad_ranges_as_verify_record_does(first, last, n_psi, n_m):
-    ev = MergeEvent(time=0.0, first_index=first, last_index=last,
-                    post_velocity=0.0, post_psi=0.0)
-    psi, m = np.zeros(n_psi), np.full(n_m, 1.0 / n_m)
-    with pytest.raises(InvalidScenarioError) as whole:
-        _event_checks([ev], psi, m)
-    for check in (check_barycentric, check_rankine_hugoniot):
-        with pytest.raises(InvalidScenarioError) as one:
-            check(ev, psi, m)
-        assert str(one.value) == str(whole.value)
 
 
 # -- snapshot checks -----------------------------------------------------
