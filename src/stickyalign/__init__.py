@@ -52,14 +52,6 @@ from .dynamics import (
     simulate,
     step,
 )
-from .records import (
-    ensemble_from_json,
-    ensemble_to_json,
-    load_record,
-    read_ensemble_csv,
-    save_flux_analysis,
-    save_record,
-    write_ensemble_csv,
-)
+from .records import load_record, save_flux_analysis, save_record
 
 __version__ = "0.1.0"

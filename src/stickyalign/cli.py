@@ -132,9 +132,19 @@ def _sampler_particles(sampler: dict, n: int, seed: int | None):
                 x_ends[0] + (x_ends[1] - x_ends[0]) * mids,
                 v_ends[0] + (v_ends[1] - v_ends[0]) * mids)
     if profile == "gaussian":
-        rng = np.random.default_rng(seed if seed is not None else sampler.get("seed", 0))
-        x = np.sort(rng.normal(sampler.get("x_loc", 0.0), sampler.get("x_scale", 1.0), n))
-        v = rng.normal(sampler.get("v_loc", 0.0), sampler.get("v_scale", 1.0), n)
+        seed = sampler.get("seed", 0) if seed is None else seed
+        if type(seed) is not int or seed < 0:
+            raise ConfigError("sampler seed must be a non-negative integer")
+        defaults = {"x_loc": 0.0, "x_scale": 1.0, "v_loc": 0.0, "v_scale": 1.0}
+        try:
+            x_loc, x_scale, v_loc, v_scale = (float(sampler.get(k, d)) for k, d in defaults.items())
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gaussian profile parameters must be numbers: {exc}") from exc
+        if not np.all(np.isfinite([x_loc, x_scale, v_loc, v_scale])) or min(x_scale, v_scale) < 0:
+            raise ConfigError("gaussian x_loc, v_loc must be finite; x_scale, v_scale finite, >= 0")
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.normal(x_loc, x_scale, n))
+        v = rng.normal(v_loc, v_scale, n)
         return np.full(n, 1.0 / n), x, v
     if profile == "custom-table":
         table = sampler.get("table")
@@ -220,6 +230,11 @@ def _metadata(cfg: dict, seed: int | None, wall_time: float) -> dict:
     }
 
 
+def _solver_counts(stats: dict) -> str:
+    return (f"{stats['accepted']} step(s), {stats['rejected']} rejected, "
+            f"{stats['capped']} contact-capped, {stats['rhs_evals']} rhs evaluation(s)")
+
+
 def run_simulate(config_path, out_dir, seed: int | None = None,
                  quiet: bool = False) -> int:
     """Integrate the configured scenario and save the record; exit code."""
@@ -237,7 +252,8 @@ def run_simulate(config_path, out_dir, seed: int | None = None,
         record = _simulate(ensemble, kernel, t_end, snapshot_dt, tolerances)
         wall = time.perf_counter() - start
     except NumericalAbortError as exc:
-        _warn(False, f"simulation aborted: {exc}")
+        _warn(False, f"simulation aborted: {exc}; {_solver_counts(exc.stats)} "
+                     f"by t={exc.stats['t']:g}")
         return EXIT_NUMERICAL_ABORT
     except StickyAlignError as exc:
         _warn(False, str(exc))
@@ -247,12 +263,9 @@ def run_simulate(config_path, out_dir, seed: int | None = None,
     except (OSError, RecordIOError) as exc:
         _warn(False, f"cannot write record: {exc}")
         return EXIT_IO_ERROR
-    st = record.stats
     _say(quiet, f"simulated to t={record.times[-1]:g}: {len(record.events)} merge "
                 f"event(s), {record.snapshots[-1].n_clusters} final cluster(s); "
-                f"{st['accepted']} step(s), {st['rejected']} rejected, "
-                f"{st['capped']} contact-capped, {st['rhs_evals']} rhs evaluation(s) "
-                f"-> {out_dir}")
+                f"{_solver_counts(record.stats)} -> {out_dir}")
     return EXIT_OK
 
 

@@ -341,7 +341,7 @@ class SimulationRecord:
     the cell's cluster trajectory up to ``times[k]``; ``v2_integrals[k]`` the
     integral of the mass-weighted squared velocity norm.  ``stats`` holds the
     solver's counts of accepted steps, rejected trials, right-hand-side
-    evaluations and contact-capped steps; a loaded record has none.
+    evaluations and contact-capped steps, which ``metadata.json`` keeps.
     """
 
     kernel: Kernel
@@ -425,7 +425,11 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
             if remaining <= 1e-12 * max(1.0, target):
                 t = target
                 break
-            res = step(state, kernel, remaining, tol, t=t, dt_hint=dt_hint)
+            try:
+                res = step(state, kernel, remaining, tol, t=t, dt_hint=dt_hint)
+            except NumericalAbortError as exc:
+                exc.stats = {**stats, "t": t}
+                raise
             stats["accepted"] += 1
             stats["rejected"] += res.rejected
             stats["rhs_evals"] += res.rhs_evals

@@ -50,22 +50,40 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _checked_cells(masses, positions, velocities, *, normalize: bool = False):
+    """Raw cell arrays as float ``(m, x, v)``: equal-length, nonempty, 1-d and
+    finite, masses positive with a total within ``MASS_BUDGET_TOL`` of 1 (or
+    rescaled to 1 with ``normalize``), positions nondecreasing; otherwise
+    :class:`InvalidEnsembleError`."""
+    m = np.array(masses, dtype=float)
+    x = np.array(positions, dtype=float)
+    v = np.array(velocities, dtype=float)
+    if not (m.shape == x.shape == v.shape) or m.ndim != 1 or m.size == 0:
+        raise InvalidEnsembleError("masses, positions, velocities must be equal-length 1-d")
+    if np.any(~np.isfinite(m)) or np.any(~np.isfinite(x)) or np.any(~np.isfinite(v)):
+        raise InvalidEnsembleError("state must be finite")
+    if np.any(m <= 0.0):
+        raise InvalidEnsembleError("masses must be strictly positive")
+    total = float(np.sum(m))
+    if normalize:
+        m = m / total
+    elif abs(total - 1.0) > MASS_BUDGET_TOL:
+        raise InvalidEnsembleError(f"masses must sum to 1 (got {total!r})")
+    if np.any(np.diff(x) < 0.0):
+        raise InvalidEnsembleError("positions must be nondecreasing")
+    return m, x, v
+
+
 def natural_velocities(masses, positions, velocities, kernel: Kernel) -> np.ndarray:
     """psi_i = v_i + sum_j m_j Phi(x_i - x_j), through ``kernel.convolve``.
 
-    The self term vanishes because Phi(0) = 0, so weakly singular kernels are
-    safe here (only the primitive is evaluated).
+    The cells are checked as :meth:`Ensemble.from_particles` checks them, but
+    the masses may have any positive total.  The self term vanishes because
+    Phi(0) = 0, so weakly singular kernels are safe here (only the primitive is
+    evaluated).
     """
-    m = np.asarray(masses, dtype=float)
-    x = np.asarray(positions, dtype=float)
-    v = np.asarray(velocities, dtype=float)
-    if not (m.shape == x.shape == v.shape) or m.ndim != 1:
-        raise InvalidEnsembleError("masses, positions, velocities must be equal-length 1-d")
-    if np.any(m <= 0.0):
-        raise InvalidEnsembleError("masses must be strictly positive")
-    if np.any(np.diff(x) < 0.0):
-        raise InvalidEnsembleError("positions must be nondecreasing")
-    return v + kernel.convolve(x, x, m)
+    _, x, v = _checked_cells(masses, positions, velocities, normalize=True)
+    return v + kernel.convolve(x, x, np.asarray(masses, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,41 +125,10 @@ class Ensemble:
         ``normalize`` the masses are rescaled to total 1; otherwise a total
         off by more than ``MASS_BUDGET_TOL`` is an error.
         """
-        return Ensemble._from_cells(
-            masses, positions, velocities,
-            lambda m, x, v: natural_velocities(m, x, v, kernel), normalize=normalize)
-
-    @staticmethod
-    def _from_cells(masses, positions, velocities, psi, *, normalize: bool) -> "Ensemble":
-        """Check raw cell arrays, then pre-merge exactly coincident cells.
-
-        ``psi`` is the cell psi, or a callable of the checked (m, x, v).
-        """
-        m = np.array(masses, dtype=float)
-        x = np.array(positions, dtype=float)
-        v = np.array(velocities, dtype=float)
-        if not (m.shape == x.shape == v.shape) or m.ndim != 1 or m.size == 0:
-            raise InvalidEnsembleError("masses, positions, velocities must be equal-length 1-d")
-        if np.any(~np.isfinite(m)) or np.any(~np.isfinite(x)) or np.any(~np.isfinite(v)):
-            raise InvalidEnsembleError("state must be finite")
-        if np.any(m <= 0.0):
-            raise InvalidEnsembleError("masses must be strictly positive")
-        total = float(np.sum(m))
-        if normalize:
-            m = m / total
-        elif abs(total - 1.0) > MASS_BUDGET_TOL:
-            raise InvalidEnsembleError(f"masses must sum to 1 (got {total!r}); "
-                                       "pass normalize=True to rescale")
-        if np.any(np.diff(x) < 0.0):
-            raise InvalidEnsembleError("positions must be nondecreasing")
-        if callable(psi):
-            psi = psi(m, x, v)
-
-        # pre-merge exactly coincident particles into clusters
+        m, x, v = _checked_cells(masses, positions, velocities, normalize=normalize)
         starts = np.flatnonzero(np.diff(x, prepend=-np.inf) > 0.0)
-        return Ensemble._assemble(m, x, v, psi, starts,
-                                  cluster_positions=x[starts],
-                                  cluster_velocities=None)
+        return Ensemble._assemble(m, x, v, v + kernel.convolve(x, x, m), starts,
+                                  cluster_positions=x[starts], cluster_velocities=None)
 
     @staticmethod
     def _assemble(cell_m, cell_x, cell_v, cell_psi, starts,
@@ -194,8 +181,7 @@ class Ensemble:
 
     def validate(self) -> None:
         """Re-check all structural invariants; raise on violation."""
-        if abs(float(np.sum(self.cell_masses)) - 1.0) > MASS_BUDGET_TOL:
-            raise InvalidEnsembleError("cell masses must sum to 1")
+        _checked_cells(self.cell_masses, self.cell_positions, self.cell_velocities)
         if np.any(np.diff(self.positions) <= 0.0):
             raise InvalidEnsembleError("cluster positions must be strictly increasing")
         if (self.starts.size != self.n_clusters or self.starts[:1].tolist() != [0]

@@ -22,7 +22,10 @@ class InvalidScenarioError(StickyAlignError):
 
 
 class NumericalAbortError(StickyAlignError):
-    """The integrator could not proceed (step-size underflow, event stagnation)."""
+    """The integrator could not proceed (step-size underflow, event stagnation).
+    Out of ``simulate`` it carries ``stats``: the counts so far and the ``t``."""
+
+    stats: dict | None = None
 
 
 class ConfigError(StickyAlignError):

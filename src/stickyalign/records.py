@@ -2,7 +2,8 @@
 
 A saved run is a directory with ``snapshots.csv``, ``events.csv``,
 ``accumulators.csv`` and ``metadata.json``.  The manifest carries the kernel
-configuration and the immutable cell data; the CSV tables carry everything
+configuration, the immutable cell data and the solver counts
+(``SimulationRecord.stats``, under ``stats``); the CSV tables carry everything
 time-dependent, each written and read as one 2-D float array:
 
 * ``snapshots.csv``: ``t, position, velocity``, one row per cluster and time,
@@ -17,12 +18,16 @@ bit-exact, which the golden regression tests rely on.  A table whose header
 differs from these columns (such as the older snapshot layout with
 ``cluster_id``, ``mass`` and ``psi``) is refused.
 
-Loading replays the merge events over the cell grid to rebuild each
-snapshot's ``starts`` (an event ``[first_index, last_index]`` removes the
-cluster starts inside it), so a loaded record's cluster/cell bookkeeping
-matches the in-memory one.  Cluster velocities at event instants are not
-serialized, hence loaded :class:`~stickyalign.dynamics.MergeEvent` objects
-have ``pre_velocities=None``.
+Loading checks the manifest's cells as ``Ensemble.from_particles`` checks
+raw particles (finite, positive masses totalling 1, nondecreasing positions),
+and their psi for finiteness, and refuses invalid cell data: ``stickyalign
+verify`` exits 4 on it instead of failing its checks.  It then replays the
+merge events over the cell grid to rebuild each snapshot's ``starts`` (an
+event ``[first_index, last_index]`` removes the cluster starts inside it), so
+a loaded record's cluster/cell bookkeeping matches the in-memory one.
+Cluster velocities at event instants are not serialized, hence loaded
+:class:`~stickyalign.dynamics.MergeEvent` objects have
+``pre_velocities=None``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MergeEvent, SimulationRecord
-from .ensemble import Ensemble
+from .ensemble import Ensemble, _checked_cells
 from .exceptions import InvalidEnsembleError, RecordIOError
 from .flux import FluxAnalysis
 from .kernels import kernel_from_config, kernel_to_config
@@ -42,16 +47,11 @@ from .kernels import kernel_from_config, kernel_to_config
 __all__ = [
     "save_record",
     "load_record",
-    "ensemble_to_json",
-    "ensemble_from_json",
-    "write_ensemble_csv",
-    "read_ensemble_csv",
     "save_flux_analysis",
 ]
 
 SNAPSHOT_FIELDS = ("t", "position", "velocity")
 EVENT_FIELDS = ("t", "first_index", "last_index", "post_velocity", "post_psi")
-ENSEMBLE_FIELDS = ("cluster_id", "mass", "position", "velocity", "psi")
 
 
 def _accumulator_fields(n_cells: int) -> tuple[str, ...]:
@@ -125,6 +125,7 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
             "psi": init.cell_psi.tolist(),
             "lineage": init.lineage.tolist(),
         },
+        "stats": record.stats,
     }
     if extra_metadata:
         meta.update(extra_metadata)
@@ -142,7 +143,8 @@ def load_record(directory) -> SimulationRecord:
     matches the snapshot's row count, so events recorded exactly at a node
     land on the correct side.  An event left over after the last snapshot is
     an error.  A missing ``accumulators.csv`` loads with the integral fields
-    set to ``None``; anything else missing or inconsistent raises
+    set to ``None``, a manifest without ``stats`` with ``stats == {}``;
+    invalid cell data, and anything else missing or inconsistent, raises
     :class:`RecordIOError`.
     """
     d = Path(directory)
@@ -157,26 +159,32 @@ def load_record(directory) -> SimulationRecord:
     try:
         kernel = kernel_from_config(meta["kernel"])
         cell_data = meta["cells"]
-        cells = tuple(np.array(cell_data[key], dtype=float)
-                      for key in ("masses", "positions", "velocities", "psi"))
+        m, x, v = _checked_cells(cell_data["masses"], cell_data["positions"],
+                                 cell_data["velocities"])
+        psi = np.array(cell_data["psi"], dtype=float)
         lineage0 = np.array(cell_data["lineage"], dtype=np.intp)
+        stats = meta.get("stats", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordIOError(f"malformed metadata.json: {exc}") from exc
-    n_cells = cells[0].size
-    if any(a.size != n_cells for a in cells) or lineage0.size != n_cells or n_cells == 0:
-        raise RecordIOError("metadata.json: cell arrays must be equal-length and nonempty")
+    except InvalidEnsembleError as exc:
+        raise RecordIOError(f"metadata.json: cells: {exc}") from exc
+    if psi.shape != m.shape or lineage0.shape != m.shape or not np.all(np.isfinite(psi)):
+        raise RecordIOError("metadata.json: cells: psi and lineage need one entry per cell, "
+                            "psi finite")
+    if not (isinstance(stats, dict) and all(type(n) is int and n >= 0 for n in stats.values())):
+        raise RecordIOError("metadata.json: stats must map names to non-negative integers")
 
     ev_table = _read_table(d / "events.csv", EVENT_FIELDS)
     first, last = ev_table[:, 1], ev_table[:, 2]
-    bad = ~((0 <= first) & (first < last) & (last < n_cells)
+    bad = ~((0 <= first) & (first < last) & (last < m.size)
             & (first == np.floor(first)) & (last == np.floor(last)))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise RecordIOError(f"event at t={ev_table[k, 0]}: bad cell range "
-                            f"[{first[k]:g}, {last[k]:g}] (integers in [0, {n_cells}) expected)")
+                            f"[{first[k]:g}, {last[k]:g}] (integers in [0, {m.size}) expected)")
     events = [MergeEvent(time=t, first_index=int(i), last_index=int(j),
-                         post_velocity=v, post_psi=psi)
-              for t, i, j, v, psi in ev_table.tolist()]
+                         post_velocity=post_v, post_psi=post_psi)
+              for t, i, j, post_v, post_psi in ev_table.tolist()]
 
     snap_table = _read_table(d / "snapshots.csv", SNAPSHOT_FIELDS)
     if not snap_table.size:
@@ -201,11 +209,8 @@ def load_record(directory) -> SimulationRecord:
         if starts.size != len(rows):
             raise RecordIOError(f"snapshot at t={t}: {len(rows)} rows but event replay "
                                 f"gives {starts.size} clusters")
-        try:
-            snapshots.append(Ensemble._assemble(*cells, starts, cluster_positions=rows[:, 1],
-                                                cluster_velocities=rows[:, 2]))
-        except InvalidEnsembleError as exc:
-            raise RecordIOError(f"snapshot at t={t}: {exc}") from exc
+        snapshots.append(Ensemble._assemble(m, x, v, psi, starts, cluster_positions=rows[:, 1],
+                                            cluster_velocities=rows[:, 2]))
     if cursor < len(events):
         raise RecordIOError(f"event at t={events[cursor].time} is not reflected in any "
                             "snapshot (event replay ended at the last snapshot)")
@@ -213,7 +218,7 @@ def load_record(directory) -> SimulationRecord:
     phi_integrals = None
     v2_integrals = None
     if (d / "accumulators.csv").exists():
-        table = _read_table(d / "accumulators.csv", _accumulator_fields(n_cells))
+        table = _read_table(d / "accumulators.csv", _accumulator_fields(m.size))
         if table.shape[0] != times.size or not np.array_equal(table[:, 0], times):
             raise RecordIOError("accumulators.csv times do not match snapshots.csv")
         v2_integrals = table[:, 1]
@@ -221,61 +226,8 @@ def load_record(directory) -> SimulationRecord:
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0],
                             times=times, snapshots=snapshots, events=events,
-                            phi_integrals=phi_integrals, v2_integrals=v2_integrals)
-
-
-# -- standalone ensemble serialization ----------------------------------
-
-
-def ensemble_to_json(ensemble: Ensemble) -> dict:
-    """Cluster-level state as a plain dict (keys match the CSV columns)."""
-    return {
-        "masses": [float(v) for v in ensemble.masses],
-        "positions": [float(v) for v in ensemble.positions],
-        "velocities": [float(v) for v in ensemble.velocities],
-        "natural_velocities": [float(v) for v in ensemble.psi],
-    }
-
-
-def _ensemble_from_arrays(m, x, v, psi, *, normalize: bool) -> Ensemble:
-    """Rebuild an ensemble whose cells are the listed clusters themselves."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != np.shape(m):
-        raise RecordIOError("ensemble arrays must be equal-length, nonempty, 1-d")
-    if not np.all(np.isfinite(psi)):
-        raise RecordIOError("ensemble state must be finite")
-    try:
-        return Ensemble._from_cells(m, x, v, psi, normalize=normalize)
-    except InvalidEnsembleError as exc:
-        raise RecordIOError(str(exc)) from exc
-
-
-def ensemble_from_json(data: dict, *, normalize: bool = False) -> Ensemble:
-    """Inverse of :func:`ensemble_to_json`.
-
-    The stored natural velocities are taken as given (no kernel is needed),
-    and each listed cluster becomes one cell of the rebuilt ensemble.
-    """
-    try:
-        return _ensemble_from_arrays(data["masses"], data["positions"],
-                                     data["velocities"], data["natural_velocities"],
-                                     normalize=normalize)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordIOError(f"malformed ensemble JSON: {exc}") from exc
-
-
-def write_ensemble_csv(ensemble: Ensemble, path) -> None:
-    """One row per cluster: cluster_id, mass, position, velocity, psi."""
-    _write_table(Path(path), ENSEMBLE_FIELDS, np.column_stack((
-        np.arange(ensemble.n_clusters), ensemble.masses, ensemble.positions,
-        ensemble.velocities, ensemble.psi)))
-
-
-def read_ensemble_csv(path, *, normalize: bool = False) -> Ensemble:
-    table = _read_table(Path(path), ENSEMBLE_FIELDS)
-    if not table.size:
-        raise RecordIOError(f"{path}: no ensemble rows")
-    return _ensemble_from_arrays(*table[:, 1:].T, normalize=normalize)
+                            phi_integrals=phi_integrals, v2_integrals=v2_integrals,
+                            stats=stats)
 
 
 # -- flux analysis exports ----------------------------------------------

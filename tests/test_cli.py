@@ -94,9 +94,9 @@ def test_simulate_summary_reports_solver_counts(tmp_path, monkeypatch, capsys):
     assert st["accepted"] > 0 and st["rhs_evals"] >= 7 * st["accepted"]
     assert (f"{st['accepted']} step(s), {st['rejected']} rejected, {st['capped']} "
             f"contact-capped, {st['rhs_evals']} rhs evaluation(s)") in capsys.readouterr().out
-    # the counts are not persisted: a loaded record has none
-    assert "stats" not in json.loads((tmp_path / "run" / "metadata.json").read_text())
-    assert load_record(tmp_path / "run").stats == {}
+    # the counts are saved with the record and come back with it
+    assert json.loads((tmp_path / "run" / "metadata.json").read_text())["stats"] == st
+    assert load_record(tmp_path / "run").stats == st
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -166,6 +166,12 @@ def test_simulate_normalizes_masses_with_warning(tmp_path, capsys):
     assert float(np.sum(init.cell_masses)) == 1.0
 
 
+def _gaussian(**params):
+    """Swap the particles for a gaussian sampler with ``params``."""
+    return lambda c: dict({k: v for k, v in c.items() if k != "particles"},
+                          sampler={"profile": "gaussian", "N": 4, **params})
+
+
 @pytest.mark.parametrize("mangle", [
     lambda c: {k: v for k, v in c.items() if k != "kernel"},
     lambda c: dict(c, kernel={"type": "warp-drive"}),
@@ -177,6 +183,9 @@ def test_simulate_normalizes_masses_with_warning(tmp_path, capsys):
     lambda c: dict(c, tolerances={"atol": 1e-10, "bogus": 1.0}),
     lambda c: dict(c, t_end=float("nan")),  # JSON NaN and Infinity parse as floats
     lambda c: dict(c, snapshot_dt=float("inf")),
+    _gaussian(x_scale=-1),
+    _gaussian(v_loc="a"),
+    _gaussian(seed="x"),
 ])
 def test_simulate_config_errors(tmp_path, mangle, capsys):
     cfg = write_config(tmp_path, mangle(dict(HEAD_ON)))
@@ -195,15 +204,26 @@ def test_simulate_invalid_json(tmp_path):
     assert run_simulate(path, tmp_path / "run", quiet=True) == EXIT_CONFIG_ERROR
 
 
-def test_simulate_numerical_abort(tmp_path):
+def test_simulate_numerical_abort(tmp_path, capsys):
+    particles = {"masses": [0.5, 0.5], "positions": [-1.0, 1.0], "velocities": [0.3, -0.1]}
     cfg = write_config(tmp_path, {
-        "kernel": {"type": "exponential", "a": 1.0},
-        "particles": {"masses": [0.5, 0.5], "positions": [-1.0, 1.0],
-                      "velocities": [0.3, -0.1]},
+        "kernel": {"type": "exponential", "a": 1.0}, "particles": particles,
         "t_end": 1.0, "snapshot_dt": 0.5,
         "tolerances": {"atol": 1e-300, "rtol": 1e-300},
     })
     assert run_simulate(cfg, tmp_path / "run", quiet=True) == EXIT_NUMERICAL_ABORT
+    err = capsys.readouterr().err
+
+    kernel = stickyalign.Exponential(1.0)
+    ens = stickyalign.Ensemble.from_particles(*particles.values(), kernel)
+    with pytest.raises(stickyalign.NumericalAbortError) as info:
+        _simulate(ens, kernel, 1.0, 0.5, stickyalign.Tolerances(1e-300, 1e-300))
+    stats = info.value.stats
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "capped", "t"}
+    assert stats["rhs_evals"] > 0 and 0.0 <= stats["t"] < 1.0
+    assert (f"simulation aborted: {info.value}; {stats['accepted']} step(s), "
+            f"{stats['rejected']} rejected, {stats['capped']} contact-capped, "
+            f"{stats['rhs_evals']} rhs evaluation(s) by t={stats['t']:g}") in err
 
 
 def test_simulate_unwritable_out(tmp_path):

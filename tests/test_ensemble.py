@@ -44,6 +44,8 @@ def test_natural_velocities_validation():
         natural_velocities([0.5, -0.5], [0.0, 1.0], [0.0, 0.0], Zero())
     with pytest.raises(InvalidEnsembleError):
         natural_velocities([0.5, 0.5], [0.0], [0.0, 0.0], Zero())
+    with pytest.raises(InvalidEnsembleError):
+        natural_velocities([0.5, 0.5], [0.0, 1.0], [0.0, np.nan], Zero())
 
 
 class TestFromParticles:
@@ -138,8 +140,7 @@ class TestMerged:
         np.testing.assert_array_equal(out.positions[lone_after], ens.positions[lone_before])
         np.testing.assert_array_equal(out.velocities[lone_after], ens.velocities[lone_before])
 
-    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(-6, 6),
-                              st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(-6, 6), st.floats(-10.0, 10.0)),
                     min_size=1, max_size=30),
            st.data())
     @settings(max_examples=300, deadline=None)
@@ -148,8 +149,9 @@ class TestMerged:
         cells (mass, psi) and from its old clusters (position, velocity), as
         whole-array block sums; every other cluster as it was."""
         cells.sort(key=lambda c: c[1])  # equal positions pre-merge into one cluster
-        m, x, v, psi = (np.array(c, dtype=float) for c in zip(*cells))
-        ens = Ensemble._from_cells(m, x, v, psi, normalize=True)
+        m, x, v = (np.array(c, dtype=float) for c in zip(*cells))
+        # AllToAll(1) makes the cell psi v + x - mean(x), apart from v
+        ens = Ensemble.from_particles(m, x, v, AllToAll(1.0), normalize=True)
         ens = ens.merged(_random_runs(data, ens.n_clusters))
         runs = _random_runs(data, ens.n_clusters)
         out = ens.merged(runs)

@@ -329,7 +329,7 @@ def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode, eps_env):
         ens = Ensemble.from_particles(m, x, p, kernel, normalize=True)
     else:
         psi = np.cumsum(np.abs(p) + 1.0) - 5.0 if psi_mode == "increasing" else p
-        ens = Ensemble._from_cells(m, x, np.zeros_like(m), psi, normalize=True)
+        ens = Ensemble.from_particles(m, x, psi, Zero(), normalize=True)  # psi = v
     labels, regions, subgroups, slopes, blocks = _oracle(ens, kernel, eps_env)
     an = analyze(ens, kernel, eps_env)
     assert an.cell_labels == labels

@@ -12,15 +12,14 @@ from stickyalign import (
     RecordIOError,
     Zero,
     analyze,
-    ensemble_from_json,
-    ensemble_to_json,
     load_record,
-    read_ensemble_csv,
     save_flux_analysis,
     save_record,
     simulate,
-    write_ensemble_csv,
 )
+from stickyalign.cli import EXIT_IO_ERROR, run_verify
+from stickyalign.ensemble import MASS_BUDGET_TOL
+from stickyalign.verify import verify_record
 from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
 
 
@@ -56,6 +55,7 @@ def _assert_same_record(back, rec):
     assert all(e.pre_velocities is None for e in back.events)  # not serialized
     _assert_same_bits(back.phi_integrals, rec.phi_integrals)
     _assert_same_bits(back.v2_integrals, rec.v2_integrals)
+    assert back.stats == rec.stats
 
 
 def test_round_trip_is_bit_exact(eventful_record, tmp_path):
@@ -98,6 +98,33 @@ def test_random_scenarios_survive_round_trip(rng, tmp_path):
         _assert_same_record(load_record(d), rec)
 
 
+def test_record_from_a_merged_snapshot(tmp_path):
+    """Initial clusters of several cells at distinct positions come back from
+    the saved lineage, not from the positions."""
+    kernel = PowerLaw(1.0, 0.5, 1.0)
+    ens = ensemble_with_psi([0.25] * 4, [-0.6, -0.2, 0.2, 0.6], [2.0, 1.0, 0.0, -1.0],
+                            kernel).merged([(0, 2), (2, 4)])
+    rec = simulate(ens, kernel, 2.0, 0.5)
+    assert rec.initial.lineage.tolist() == [0, 0, 1, 1] and rec.events
+    save_record(rec, tmp_path)
+    back = load_record(tmp_path)
+    _assert_same_record(back, rec)
+    assert all(r.passed for r in verify_record(back))
+
+
+def test_stats_in_manifest(eventful_record, tmp_path):
+    save_record(eventful_record, tmp_path)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["stats"] == eventful_record.stats and eventful_record.stats["accepted"] > 0
+    del meta["stats"]
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    assert load_record(tmp_path).stats == {}
+    for bad in ([1], {"accepted": -1}, {"accepted": 1.5}, {"accepted": True}):
+        (tmp_path / "metadata.json").write_text(json.dumps({**meta, "stats": bad}))
+        with pytest.raises(RecordIOError, match="metadata.json: stats"):
+            load_record(tmp_path)
+
+
 # -- malformed inputs ----------------------------------------------------
 
 
@@ -137,6 +164,25 @@ def test_unknown_kernel_family(eventful_record, tmp_path):
     (tmp_path / "metadata.json").write_text(json.dumps(meta))
     with pytest.raises(RecordIOError):
         load_record(tmp_path)
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("masses", 1, 0.0), ("masses", 1, -0.25),
+    ("masses", 0, np.inf), ("positions", 3, np.nan), ("velocities", 1, -np.inf),
+    ("psi", 2, np.nan), ("positions", 0, 0.0), ("masses", 3, 0.5),
+    ("masses", 0, 0.25 + 2 * MASS_BUDGET_TOL), ("positions", 1, "x"),
+], ids=["zero-mass", "negative-mass", "inf-mass", "nan-position", "inf-velocity", "nan-psi",
+        "decreasing-positions", "mass-total-1.25", "mass-total-just-off", "non-numeric"])
+def test_invalid_cells_refused(eventful_record, tmp_path, capsys, key, index, value):
+    save_record(eventful_record, tmp_path)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    meta["cells"][key][index] = value
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(RecordIOError, match="metadata.json"):
+        load_record(tmp_path)
+    assert run_verify(tmp_path, quiet=True) == EXIT_IO_ERROR
+    err = capsys.readouterr().err
+    assert "metadata.json" in err and "Traceback" not in err
 
 
 def test_wrong_snapshot_header(eventful_record, tmp_path):
@@ -233,64 +279,6 @@ def test_event_after_the_last_snapshot(tmp_path):
         fh.write("5.0,0,3,0.0,0.0\n")
     with pytest.raises(RecordIOError, match=re.escape("t=5.0")):
         load_record(tmp_path)
-
-
-# -- standalone ensemble serialization -----------------------------------
-
-
-def test_ensemble_json_round_trip(rng):
-    ens, _ = random_scenario(rng, 10)
-    back = ensemble_from_json(ensemble_to_json(ens))
-    np.testing.assert_array_equal(back.masses, ens.masses)
-    np.testing.assert_array_equal(back.positions, ens.positions)
-    np.testing.assert_array_equal(back.velocities, ens.velocities)
-    np.testing.assert_array_equal(back.psi, ens.psi)
-
-
-def test_ensemble_json_normalize():
-    data = {"masses": [1.0, 3.0], "positions": [0.0, 1.0],
-            "velocities": [0.0, 0.0], "natural_velocities": [0.0, 0.0]}
-    with pytest.raises(RecordIOError, match="sum to 1"):
-        ensemble_from_json(data)
-    ens = ensemble_from_json(data, normalize=True)
-    np.testing.assert_allclose(ens.masses, [0.25, 0.75])
-
-
-def test_ensemble_json_malformed():
-    with pytest.raises(RecordIOError):
-        ensemble_from_json({"masses": [1.0]})
-    with pytest.raises(RecordIOError):
-        ensemble_from_json({"masses": [0.5, 0.5], "positions": [1.0, 0.0],
-                            "velocities": [0.0, 0.0], "natural_velocities": [0.0, 0.0]})
-    with pytest.raises(RecordIOError):
-        ensemble_from_json({"masses": [0.5, 0.5], "positions": [0.0, "x"],
-                            "velocities": [0.0, 0.0], "natural_velocities": [0.0, 0.0]})
-
-
-def test_ensemble_csv_round_trip(rng, tmp_path):
-    ens, _ = random_scenario(rng, 8)
-    path = tmp_path / "state.csv"
-    write_ensemble_csv(ens, path)
-    back = read_ensemble_csv(path)
-    np.testing.assert_array_equal(back.positions, ens.positions)
-    np.testing.assert_array_equal(back.psi, ens.psi)
-    assert path.read_text().splitlines()[0] == "cluster_id,mass,position,velocity,psi"
-
-
-def test_ensemble_csv_errors(tmp_path):
-    with pytest.raises(RecordIOError):
-        read_ensemble_csv(tmp_path / "absent.csv")
-    empty = tmp_path / "empty.csv"
-    empty.write_text("cluster_id,mass,position,velocity,psi\n")
-    with pytest.raises(RecordIOError, match="no ensemble rows"):
-        read_ensemble_csv(empty)
-
-
-def test_coincident_rows_premerge_on_load():
-    data = {"masses": [0.25, 0.25, 0.5], "positions": [0.0, 0.0, 1.0],
-            "velocities": [1.0, 0.0, 0.0], "natural_velocities": [1.0, 0.0, 0.0]}
-    ens = ensemble_from_json(data)
-    assert ens.n_cells == 3 and ens.n_clusters == 2
 
 
 # -- flux analysis export ------------------------------------------------
