@@ -235,6 +235,11 @@ def _solver_counts(stats: dict) -> str:
             f"{stats['capped']} contact-capped, {stats['rhs_evals']} rhs evaluation(s)")
 
 
+def _aborted(exc: NumericalAbortError) -> int:
+    _warn(False, f"simulation aborted: {exc}; {_solver_counts(exc.stats)} by t={exc.stats['t']:g}")
+    return EXIT_NUMERICAL_ABORT
+
+
 def run_simulate(config_path, out_dir, seed: int | None = None,
                  quiet: bool = False) -> int:
     """Integrate the configured scenario and save the record; exit code."""
@@ -252,9 +257,7 @@ def run_simulate(config_path, out_dir, seed: int | None = None,
         record = _simulate(ensemble, kernel, t_end, snapshot_dt, tolerances)
         wall = time.perf_counter() - start
     except NumericalAbortError as exc:
-        _warn(False, f"simulation aborted: {exc}; {_solver_counts(exc.stats)} "
-                     f"by t={exc.stats['t']:g}")
-        return EXIT_NUMERICAL_ABORT
+        return _aborted(exc)
     except StickyAlignError as exc:
         _warn(False, str(exc))
         return EXIT_CONFIG_ERROR
@@ -336,6 +339,7 @@ def run_converge(config_path, out_dir, seed: int | None = None,
         cfg = _load_config(config_path)
         kernel = _parse_kernel(cfg)
         t_end, snapshot_dt = _parse_time_grid(cfg)
+        tolerances = _parse_tolerances(cfg)
         ns = cfg.get("ns")
         if (not isinstance(ns, list) or not ns
                 or any(not isinstance(n, int) or n < 1 for n in ns)):
@@ -362,7 +366,7 @@ def run_converge(config_path, out_dir, seed: int | None = None,
     passed = True
     try:
         if len(ns) >= 2:
-            study = convergence_study(sampler, ns, t_grid, kernel)
+            study = convergence_study(sampler, ns, t_grid, kernel, tolerances=tolerances)
             passed = study.passed
             rows = [(r.n, r.n_fine, format(r.sup_w2, ".17g"),
                      format(r.bound, ".17g"), r.passed) for r in study.rows]
@@ -370,8 +374,7 @@ def run_converge(config_path, out_dir, seed: int | None = None,
         else:
             rows = [(ns[0], "", "", "", "")]
     except NumericalAbortError as exc:
-        _warn(False, f"simulation aborted: {exc}")
-        return EXIT_NUMERICAL_ABORT
+        return _aborted(exc)
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

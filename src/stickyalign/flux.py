@@ -156,15 +156,15 @@ def analyze(ensemble: Ensemble, kernel: Kernel, eps_env: float | None = None) ->
     (a linear piece of A** wider than the cell) and Subcritical when the cell
     is a hull segment of its own (slope strictly increases at both ends).
 
-    The subgroups are exactly the hull segments (collinear nodes were popped,
-    so segment slopes strictly increase).  A one-cell subgroup does not
+    The subgroups are exactly the hull segments, the flat runs of the
+    isotonic fit of the cell psi.  A one-cell subgroup does not
     cluster.  A wider one clusters in finite time when 1/Phi is integrable at
     the origin, or when all its cells are supercritical; under the vanishing
     kernel it clusters in finite time iff any cell is supercritical and never
     otherwise; for every other kernel it clusters in infinite time.
     """
     A = build_flux(ensemble)
-    hull = lower_convex_envelope(A)
+    hull = lower_convex_envelope(ensemble.cell_psi, ensemble.cell_masses)
     if eps_env is None:
         eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
     edges = np.searchsorted(A.nodes, hull.nodes)

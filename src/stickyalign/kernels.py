@@ -358,8 +358,8 @@ class Exponential(Kernel):
 
     def w_phi(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
-        # integral of a(1 - e^-y) from 0 to x
-        return _maybe_scalar(x, self.a * (ax - 1.0 + np.exp(-ax)))
+        # integral of a(1 - e^-y) from 0 to x; expm1 keeps small x from cancelling
+        return _maybe_scalar(x, self.a * (ax + np.expm1(-ax)))
 
     def convolve(self, at, positions, masses) -> np.ndarray:
         # Phi(d) = a sign(d) (1 - e^-|d|): the masses strictly on each side,

@@ -1,17 +1,12 @@
 """Isotonic projection onto the monotone cone, and lower convex envelopes.
 
 The monotone cone is the set of nondecreasing sequences (discretized quantile
-functions).  Two routes compute the weighted L2 projection onto it:
-
-* :func:`project_monotone` - pool-adjacent-violators (PAVA), the O(n)
-  production path;
-* slopes of :func:`lower_convex_envelope` applied to the cumulative primitive
-  of the sequence - the geometric cross-check path.
-
-The two are the same function mathematically (the projection is the right
-derivative of the convexified primitive), and the tests pin them to each other
-to 1e-14.  Block variants project onto the flat subspace of a partition
-(:func:`project_subspace`) and onto its tangent cone
+functions).  :func:`project_monotone` computes the weighted L2 projection onto
+it by pool-adjacent-violators (PAVA).  The projection is the right derivative
+of the convexified primitive, so :func:`lower_convex_envelope` reads the hull
+of :func:`cumulative_primitive` off the same fit: its vertices are the nodes
+where the fit steps up.  Block variants project onto the flat subspace of a
+partition (:func:`project_subspace`) and onto its tangent cone
 (:func:`project_tangent_cone`).
 """
 
@@ -82,9 +77,8 @@ def project_monotone(values, weights=None) -> np.ndarray:
     """Weighted L2 projection onto nondecreasing sequences (isotonic fit).
 
     Pool-adjacent-violators with weighted pooling.  Blocks carry the running
-    sums (w, w*y) and violations are tested by cross-multiplication, which
-    keeps the arithmetic identical to chord slopes of the cumulative primitive
-    and so bit-consistent with the envelope route.
+    sums (w, w*y) and violations are tested by cross-multiplication, the
+    chord-slope comparison on the cumulative primitive.
 
     The weighted mean is preserved exactly and the map is a contraction in
     every weighted L^p norm.
@@ -92,28 +86,28 @@ def project_monotone(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return v.copy()
     w = _weights_like(v, weights)
 
-    sw = np.empty(n)  # pooled weight per block
-    swy = np.empty(n)  # pooled weight*value per block
-    counts = np.empty(n, dtype=np.intp)
-    top = 0
-    for i in range(n):
-        sw[top] = w[i]
-        swy[top] = w[i] * v[i]
-        counts[top] = 1
-        top += 1
-        # merge while the previous block mean exceeds the new one
-        while top > 1 and swy[top - 2] * sw[top - 1] > swy[top - 1] * sw[top - 2]:
-            sw[top - 2] += sw[top - 1]
-            swy[top - 2] += swy[top - 1]
-            counts[top - 2] += counts[top - 1]
-            top -= 1
-    out = np.repeat(swy[:top] / sw[:top], counts[:top])
-    alone = np.repeat(counts[:top] == 1, counts[:top])
+    sw: list[float] = []  # pooled weight per block
+    swy: list[float] = []  # pooled weight*value per block
+    counts: list[int] = []
+    for wi, wyi in zip(w.tolist(), (w * v).tolist()):
+        ci = 1
+        # pool while the previous block mean exceeds the new one
+        while swy and swy[-1] * wi > wyi * sw[-1]:
+            wi += sw.pop()
+            wyi += swy.pop()
+            ci += counts.pop()
+        sw.append(wi)
+        swy.append(wyi)
+        counts.append(ci)
+    if len(counts) == v.size:
+        return v.copy()
+    reps = np.array(counts)
+    out = np.repeat(np.array(swy) / np.array(sw), reps)
+    alone = np.repeat(reps == 1, reps)
     out[alone] = v[alone]  # an entry that pools with nothing is its own projection
     return out
 
@@ -122,8 +116,8 @@ def cumulative_primitive(values, weights=None) -> PiecewiseLinear:
     """Integral of the step function with the given values and weights.
 
     Nodes are the cumulative weights prefixed with 0; node values the running
-    weighted sums.  The slope of segment i recovers values[i], so convexifying
-    this primitive and reading slopes is the envelope route to isotonic fit.
+    weighted sums.  The slope of segment i recovers values[i]; the lower convex
+    envelope of this primitive has the isotonic fit as its slopes.
     """
     v = np.asarray(values, dtype=float)
     w = _weights_like(v, weights)
@@ -132,27 +126,18 @@ def cumulative_primitive(values, weights=None) -> PiecewiseLinear:
     return PiecewiseLinear(nodes, vals)
 
 
-def lower_convex_envelope(pl: PiecewiseLinear) -> PiecewiseLinear:
-    """Greatest convex function below ``pl`` (lower hull of its breakpoints).
+def lower_convex_envelope(values, weights=None) -> PiecewiseLinear:
+    """Greatest convex function below ``cumulative_primitive(values, weights)``.
 
-    Monotone-chain sweep keeping strictly left turns, so collinear interior
-    points are dropped and the result is the canonical minimal representation.
-    Endpoint values always survive.
+    The envelope's slopes are the isotonic fit, so its vertices are the end
+    nodes and every node where :func:`project_monotone` strictly increases:
+    each flat run of the fit is one segment.  Vertex values are the
+    primitive's own, so the endpoint values survive exactly.
     """
-    xs, ys = pl.nodes, pl.values
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
-            if cross <= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(x)
-        hy.append(y)
-    return PiecewiseLinear(np.array(hx), np.array(hy))
+    pl = cumulative_primitive(values, weights)
+    rises = np.flatnonzero(np.diff(project_monotone(values, weights)) > 0.0) + 1
+    keep = np.concatenate(([0], rises, [pl.nodes.size - 1]))
+    return PiecewiseLinear(pl.nodes[keep], pl.values[keep])
 
 
 def _validate_blocks(blocks, n: int) -> list[tuple[int, int]]:

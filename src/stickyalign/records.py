@@ -142,7 +142,9 @@ def load_record(directory) -> SimulationRecord:
     the replay consumes events (in file order) until the cluster count
     matches the snapshot's row count, so events recorded exactly at a node
     land on the correct side.  An event left over after the last snapshot is
-    an error.  A missing ``accumulators.csv`` loads with the integral fields
+    an error, as are snapshot rows whose positions are not finite and strictly
+    increasing within one time, or whose velocities are not finite.  A missing
+    ``accumulators.csv`` loads with the integral fields
     set to ``None``, a manifest without ``stats`` with ``stats == {}``;
     invalid cell data, and anything else missing or inconsistent, raises
     :class:`RecordIOError`.
@@ -193,6 +195,12 @@ def load_record(directory) -> SimulationRecord:
     times = snap_table[np.concatenate(([0], bounds)), 0]
     if not np.all(np.diff(times) > 0):
         raise RecordIOError("snapshots.csv: times must be strictly increasing")
+    t_rows, x_rows, v_rows = snap_table.T
+    bad = ~(np.isfinite(x_rows) & np.isfinite(v_rows))
+    bad[1:] |= (t_rows[1:] == t_rows[:-1]) & ~(x_rows[1:] > x_rows[:-1])
+    if np.any(bad):
+        raise RecordIOError(f"snapshots.csv: snapshot at t={t_rows[np.argmax(bad)]}: positions "
+                            "must be finite and strictly increasing, velocities finite")
 
     # replay the merge events: an event clears the cluster starts inside it
     opens = np.concatenate(([True], lineage0[1:] != lineage0[:-1]))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MergeEvent, SimulationRecord, simulate
+from .dynamics import MergeEvent, SimulationRecord, Tolerances, simulate
 from .ensemble import _block_sums
 from .exceptions import InvalidScenarioError
 from .flux import FluxAnalysis, Regime, flocking_thresholds
@@ -305,8 +305,9 @@ class ConvergenceStudy:
         return self.monotone and all(r.passed for r in self.rows)
 
 
-def convergence_study(sampler, ns, t_grid, kernel: Kernel,
-                      tolerance: float = 1e-6, slack: float = 0.10) -> ConvergenceStudy:
+def convergence_study(sampler, ns, t_grid, kernel: Kernel, tolerance: float = 1e-6,
+                      slack: float = 0.10,
+                      tolerances: Tolerances | None = None) -> ConvergenceStudy:
     """Refinement study: distance between consecutive resolutions of one profile.
 
     ``sampler(n)`` must return the n-cell discretization of a fixed profile.
@@ -316,6 +317,7 @@ def convergence_study(sampler, ns, t_grid, kernel: Kernel,
         ||X0_n - X0_fine||_2 + t_max ||psi_n - psi_fine||_2 + tolerance,
 
     and finally that the sup sequence is nonincreasing within ``slack``.
+    Every run integrates with the solver ``tolerances`` (the default when None).
     """
     ns = list(ns)
     if len(ns) < 2:
@@ -331,7 +333,7 @@ def convergence_study(sampler, ns, t_grid, kernel: Kernel,
     for n in ns:
         ens = sampler(n)
         records[n] = simulate(ens, kernel, t_end=max(t_max, snapshot_dt),
-                              snapshot_dt=snapshot_dt)
+                              snapshot_dt=snapshot_dt, tolerances=tolerances)
 
     rows = []
     sups = []

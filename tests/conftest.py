@@ -1,4 +1,4 @@
-"""Shared scenario generators.
+"""Shared scenario generators, and the hull sweep the envelope is tested against.
 
 Masses are built as dyadic rationals (integer / 2**20) summing to exactly one:
 every partial sum and every pooled cluster mass is then exactly representable,
@@ -13,6 +13,7 @@ from stickyalign import (
     CompactBump,
     Ensemble,
     Exponential,
+    PiecewiseLinear,
     PowerLaw,
     Zero,
     natural_velocities,
@@ -57,6 +58,30 @@ def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
     conv = natural_velocities(m, x, np.zeros_like(m), kernel)
     return Ensemble.from_particles(m, x, np.asarray(psi, dtype=float) - conv,
                                    kernel, **kwargs)
+
+
+def sweep_envelope(pl: PiecewiseLinear) -> PiecewiseLinear:
+    """Greatest convex function below ``pl`` (lower hull of its breakpoints).
+
+    Monotone-chain sweep keeping strictly left turns, so collinear interior
+    points are dropped and the result is the canonical minimal representation.
+    Endpoint values always survive.  This is the geometric oracle for
+    ``lower_convex_envelope``, which reads the hull off the isotonic fit.
+    """
+    xs, ys = pl.nodes, pl.values
+    hx: list[float] = []
+    hy: list[float] = []
+    for x, y in zip(xs, ys):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
+            if cross <= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(x)
+        hy.append(y)
+    return PiecewiseLinear(np.array(hx), np.array(hy))
 
 
 @pytest.fixture

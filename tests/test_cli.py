@@ -8,6 +8,7 @@ only where that script is on ``PATH``.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -357,6 +358,21 @@ def test_converge_happy_path(tmp_path):
     assert lines[1].startswith("8,16,") and lines[1].endswith("True")
     assert lines[2].startswith("16,32,")
     assert lines[3] == "32,,,,"
+
+
+def test_converge_honours_tolerances(tmp_path, capsys):
+    """The config's solver tolerances reach every run of the study: ones no
+    step can meet abort it, with the solver counts on the abort line."""
+    cfg = write_config(tmp_path, {
+        "kernel": {"type": "power_law", "c": 1.0, "beta": 0.5, "R": 1.0},
+        "sampler": {"profile": "linear", "N": 4},
+        "t_end": 0.5, "snapshot_dt": 0.25, "ns": [4, 8],
+        "tolerances": {"atol": 1e-300, "rtol": 1e-300},
+    })
+    assert run_converge(cfg, tmp_path / "study", quiet=True) == EXIT_NUMERICAL_ABORT
+    err = capsys.readouterr().err
+    assert re.search(r"simulation aborted: .*; \d+ step\(s\), \d+ rejected, \d+ contact-capped, "
+                     r"\d+ rhs evaluation\(s\) by t=", err)
 
 
 def test_converge_single_resolution(tmp_path):

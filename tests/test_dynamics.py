@@ -18,13 +18,12 @@ from stickyalign import (
     Zero,
     cumulative_primitive,
     drift,
-    lower_convex_envelope,
     simulate,
     step,
 )
 from stickyalign import dynamics
 from stickyalign.dynamics import _A, _E, _attempt, _cascade, _error_norm, _first_trigger, _hermite
-from tests.conftest import dyadic_masses, random_scenario
+from tests.conftest import dyadic_masses, random_scenario, sweep_envelope
 
 
 def two_body(m1, x1, v1, m2, x2, v2, kernel):
@@ -227,7 +226,7 @@ _gap = st.one_of(st.floats(0.05, 1.95).map(lambda g: g * EPS), st.just(1.0))
                 min_size=2, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_cascade_is_the_isotonic_fit_on_each_contact_run(cells):
-    """Against the envelope route of monotone.py: after the merge, each cell
+    """Against the hull sweep in conftest.py: after the merge, each cell
     velocity of a contact run is the slope of the lower convex envelope of
     the run's cumulative momentum over that cell, and momentum is conserved
     run by run."""
@@ -239,7 +238,7 @@ def test_cascade_is_the_isotonic_fit_on_each_contact_run(cells):
     after = post.velocities[post.lineage]
     cuts = np.flatnonzero(gaps[1:] > 2.0 * EPS) + 1
     for a, b in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [v.size]))):
-        env = lower_convex_envelope(cumulative_primitive(v[a:b], m[a:b]))
+        env = sweep_envelope(cumulative_primitive(v[a:b], m[a:b]))
         nodes = np.concatenate(([0.0], np.cumsum(m[a:b])))
         np.testing.assert_allclose(after[a:b], np.diff(env(nodes)) / m[a:b],
                                    rtol=0, atol=1e-13)

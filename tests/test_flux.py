@@ -230,6 +230,26 @@ def test_eps_env_override():
     assert RegionLabel.SUPERCRITICAL not in an.cell_labels
 
 
+def test_constant_psi_is_one_critical_subgroup():
+    """A straight flux is its own envelope: psi == 0.7 on every cell is one
+    Critical subgroup and one cluster, whatever the rounding of the cell
+    masses' partial sums (a hull sweep over the nodes splits it at m=0.625)."""
+    kernel = PowerLaw(1.0, 0.5, 1.0)
+    m = np.array([1, 3, 2, 4, 1, 2, 3]) / 16
+    x = np.arange(7.0) * 1e-3  # |conv| < 0.2 keeps v in the binade of 0.7
+    conv = kernel.convolve(x, x, m)
+    v = 0.7 - conv
+    for _ in range(4):  # nudge by ulps until each natural velocity rounds to 0.7
+        v = np.where(v + conv < 0.7, np.nextafter(v, np.inf),
+                     np.where(v + conv > 0.7, np.nextafter(v, -np.inf), v))
+    ens = Ensemble.from_particles(m, x, v, kernel)
+    assert np.all(ens.cell_psi == 0.7)
+    an = analyze(ens, kernel)
+    assert [sg.cells for sg in an.subgroups] == [(0, 7)]
+    assert set(an.cell_labels) == {RegionLabel.CRITICAL}
+    assert predicted_partition(an, ens) == [(0, 7)]
+
+
 # -- array code against the per-cell loops it replaced -------------------
 
 
@@ -268,7 +288,7 @@ def _oracle(ens, kernel, eps_env):
     """Labels, regions, subgroups, per-cell envelope slopes and predicted
     partition, one cell, hull segment or bond at a time."""
     A = build_flux(ens)
-    hull = lower_convex_envelope(A)
+    hull = lower_convex_envelope(ens.cell_psi, ens.cell_masses)
     if eps_env is None:
         eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
     labels, slopes = _oracle_labels(A, hull, eps_env)

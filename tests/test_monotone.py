@@ -1,5 +1,5 @@
-"""Isotonic projection against a partition-enumeration oracle, plus the
-convex-envelope cross-check and the block projections."""
+"""Isotonic projection against a partition-enumeration oracle, the envelope
+against the hull sweep of conftest.py, and the block projections."""
 
 import itertools
 
@@ -17,6 +17,7 @@ from stickyalign import (
     project_subspace,
     project_tangent_cone,
 )
+from tests.conftest import sweep_envelope
 
 
 def oracle_isotonic(values, weights):
@@ -74,14 +75,14 @@ def test_pava_matches_enumeration_oracle(rng):
 
 
 def test_pava_envelope_agreement(rng):
-    """The two routes are the same function: PAVA == slopes of the
-    convexified cumulative primitive, to near machine precision."""
+    """PAVA == slopes of the swept hull of the cumulative primitive, to near
+    machine precision."""
     for _ in range(200):
         n = int(rng.integers(1, 30))
         v = rng.normal(size=n) * 2.0
         w = rng.uniform(0.1, 2.0, size=n)
         pava = project_monotone(v, weights=w)
-        hull = lower_convex_envelope(cumulative_primitive(v, weights=w))
+        hull = sweep_envelope(cumulative_primitive(v, weights=w))
         # read the hull slope over each original cell
         nodes = np.concatenate(([0.0], np.cumsum(w)))
         mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -151,17 +152,30 @@ def test_pava_rejects_bad_input():
 
 def test_envelope_frozen_tent():
     tent = PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.5, 0.0])
-    hull = lower_convex_envelope(tent)
+    hull = sweep_envelope(tent)
     np.testing.assert_array_equal(hull.nodes, [0.0, 1.0])
     np.testing.assert_array_equal(hull.values, [0.0, 0.0])
 
 
 def test_envelope_keeps_convex_input_and_drops_collinear():
     pl = PiecewiseLinear([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 4.0])
-    hull = lower_convex_envelope(pl)
+    hull = sweep_envelope(pl)
     # the first two segments are collinear; the interior vertex at x=1 goes
     np.testing.assert_array_equal(hull.nodes, [0.0, 2.0, 3.0])
     assert hull.is_convex()
+
+
+def test_envelope_matches_sweep_on_untied_input(rng):
+    """Read off the isotonic fit, the envelope keeps exactly the sweep's
+    vertices: nodes and values are bit-equal on untied random input."""
+    for _ in range(500):
+        n = int(rng.integers(1, 60))
+        v = rng.normal(size=n)
+        w = rng.uniform(0.1, 2.0, size=n)
+        got = lower_convex_envelope(v, w)
+        want = sweep_envelope(cumulative_primitive(v, w))
+        assert got.nodes.tobytes() == want.nodes.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_envelope_below_and_convex(rng):
@@ -171,7 +185,7 @@ def test_envelope_below_and_convex(rng):
         xs += np.arange(n) * 1e-3  # strictness
         ys = rng.normal(size=n) * 3
         pl = PiecewiseLinear(xs, ys)
-        hull = lower_convex_envelope(pl)
+        hull = sweep_envelope(pl)
         assert hull.is_convex(tol=1e-12)
         assert np.all(hull(xs) <= ys + 1e-9)
         # endpoints survive exactly

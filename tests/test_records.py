@@ -239,6 +239,23 @@ def test_old_snapshot_layout_refused(eventful_record, tmp_path):
         load_record(tmp_path)
 
 
+@pytest.mark.parametrize("line, column, value", [
+    (1, 1, "nan"), (1, 1, "5.0"), (1, 2, "inf"), (-1, 1, "nan"),
+], ids=["nan-position", "unordered-position", "inf-velocity", "nan-in-last-row"])
+def test_corrupt_snapshot_rows_refused(eventful_record, tmp_path, capsys, line, column, value):
+    save_record(eventful_record, tmp_path)
+    lines = (tmp_path / "snapshots.csv").read_text().splitlines()
+    row = lines[line].split(",")
+    row[column] = value
+    lines[line] = ",".join(row)
+    (tmp_path / "snapshots.csv").write_text("\n".join(lines) + "\n")
+    where = re.escape(f"snapshots.csv: snapshot at t={float(row[0])}")
+    with pytest.raises(RecordIOError, match=where):
+        load_record(tmp_path)
+    assert run_verify(tmp_path, quiet=True) == EXIT_IO_ERROR
+    assert "snapshots.csv" in capsys.readouterr().err
+
+
 def test_empty_snapshot_table(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
     (tmp_path / "snapshots.csv").write_text("t,position,velocity\n")
