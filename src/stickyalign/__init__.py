@@ -27,8 +27,6 @@ from .monotone import (
     cumulative_primitive,
     lower_convex_envelope,
     project_monotone,
-    project_subspace,
-    project_tangent_cone,
 )
 from .metrics import energy, metric_D, modulus_bound, velocity_semidistance, wasserstein
 from .flux import (

@@ -15,10 +15,10 @@ contact of a closing pair; a capped step that the error control accepts at
 its first trial hands the size it was offered before the cap (the previous
 step's suggestion) to the next step, whose error control tests it, so the
 step size does not regrow from the cap after every event.  The merge
-rule at one instant is the tangent-cone projection of velocities: within
-each maximal run of contact pairs the velocities are projected,
-mass-weighted, onto the nondecreasing ones by blockwise
-pool-adjacent-violators, which conserves momentum.
+rule at one instant is the tangent-cone projection of velocities: one call
+of ``project_monotone`` whose ``joins`` are the pairs in contact, so the
+mass-weighted isotonic fit pools only within each maximal run of contact
+pairs, which conserves momentum.
 
 Zero-measure integrals for later verification (the per-cell convolution
 integral of the projection formula, and the dissipation integral of the
@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import Ensemble, _block_sums
 from .exceptions import InvalidScenarioError, NumericalAbortError
 from .kernels import Kernel
-from .monotone import project_subspace, project_tangent_cone
+from .monotone import project_monotone
 
 __all__ = [
     "Tolerances",
@@ -76,6 +76,10 @@ class Tolerances:
 
     atol: float = 1e-10
     rtol: float = 1e-9
+
+    def __post_init__(self):
+        if not (0.0 < self.atol < math.inf and 0.0 <= self.rtol < math.inf):
+            raise ValueError(f"need finite atol > 0 and rtol >= 0, got {self.atol}, {self.rtol}")
 
 
 @dataclass(frozen=True)
@@ -225,10 +229,9 @@ def _first_trigger(x0, v0, x1, v1, h, eps, s_tol):
 
 def _runs(pairs: np.ndarray) -> list[tuple[int, int]]:
     """Half-open cluster ranges of the maximal runs of flagged pairs (i, i+1)."""
-    edges = np.diff(np.concatenate(([0], pairs.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1) + 1
-    return list(zip(starts.tolist(), stops.tolist()))
+    pad = np.concatenate(([False], pairs, [False]))
+    starts, ends = (pad[1:] != pad[:-1]).nonzero()[0].reshape(-1, 2).T
+    return list(zip(starts.tolist(), (ends + 1).tolist()))
 
 
 def _cascade(ens: Ensemble, t_ev: float, eps: float):
@@ -236,23 +239,25 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
 
     The merge is the tangent-cone projection of the incoming velocities
     (Brenier & Grenier, SIAM J. Numer. Anal. 35, 1998; Natile & Savare, SIAM
-    J. Math. Anal. 41, 2009).  Overlapping clusters, the level sets of the
-    monotone fit of the positions, pool their velocities; then blockwise PAVA
-    runs inside each maximal run of pairs in contact (gap <= 2 eps), all
-    mass-weighted.  A merged block is a run of pairs that overlap, or that are
-    in contact and do not come out strictly increasing, so contact pairs with
-    equal velocities merge too.  Each block merges once, conserving momentum,
-    and gives one :class:`MergeEvent`.
+    J. Math. Anal. 41, 2009): their mass-weighted isotonic fit, pooling only
+    across pairs in contact (gap <= 2 eps), after overlapping clusters (the
+    level sets of the same fit of the positions) pool their velocities.  A
+    run of pairs that overlap, or are in contact and do not come out strictly
+    increasing, merges once, conserving momentum, into one :class:`MergeEvent`.
     """
-    m = ens.masses
-    x = ens.positions
+    m, x = ens.masses, ens.positions
     gaps = np.diff(x)
     # only gaps within the total overlap can close when overlaps are pooled
     reach = -float(np.sum(np.minimum(gaps, 0.0)))
-    overlap = np.diff(project_tangent_cone(x, _runs(gaps <= reach), m)) <= 0.0
+    overlap = np.diff(project_monotone(x, m, gaps <= reach)) <= 0.0
     contact = overlap | (gaps <= 2.0 * eps)
-    v = project_subspace(ens.velocities, _runs(overlap), m)
-    v = project_tangent_cone(v, _runs(contact), m)
+    v = ens.velocities
+    if overlap.any():  # pool each overlap block; a cluster alone keeps its velocity
+        bounds = np.concatenate(([True], ~overlap, [True])).nonzero()[0]
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        pooled = _block_sums(m * v, starts) / _block_sums(m, starts)
+        v = np.where((sizes > 1).repeat(sizes), pooled.repeat(sizes), v)
+    v = project_monotone(v, m, contact)
     blocks = _runs(overlap | (contact & (v[:-1] >= v[1:])))
     if not blocks:
         return ens, []

@@ -126,8 +126,11 @@ class Ensemble:
         off by more than ``MASS_BUDGET_TOL`` is an error.
         """
         m, x, v = _checked_cells(masses, positions, velocities, normalize=normalize)
+        psi = v + kernel.convolve(x, x, m)
+        if not np.all(np.isfinite(psi)):
+            raise InvalidEnsembleError("natural velocities must be finite")
         starts = np.flatnonzero(np.diff(x, prepend=-np.inf) > 0.0)
-        return Ensemble._assemble(m, x, v, v + kernel.convolve(x, x, m), starts,
+        return Ensemble._assemble(m, x, v, psi, starts,
                                   cluster_positions=x[starts], cluster_velocities=None)
 
     @staticmethod

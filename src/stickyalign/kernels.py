@@ -235,8 +235,8 @@ class AllToAll(Kernel):
     K: float = 1.0
 
     def __post_init__(self):
-        if not self.K > 0.0:
-            raise ValueError(f"K must be positive, got {self.K}")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"K must be positive and finite, got {self.K}")
 
     def phi(self, r):
         return _maybe_scalar(r, np.full_like(np.asarray(r, dtype=float), self.K))
@@ -284,8 +284,8 @@ class PowerLaw(Kernel):
     R: float = 1.0
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
         if not self.R > 0.0:
@@ -345,8 +345,8 @@ class Exponential(Kernel):
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
 
     def phi(self, r):
         ra = np.abs(np.asarray(r, dtype=float))
@@ -399,8 +399,8 @@ class CompactBump(Kernel):
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.height < 0.0:
-            raise ValueError(f"height must be nonnegative, got {self.height}")
+        if not 0.0 <= self.height < math.inf:
+            raise ValueError(f"height must be nonnegative and finite, got {self.height}")
 
     def phi(self, r):
         ra = np.abs(np.asarray(r, dtype=float))

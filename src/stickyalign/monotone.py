@@ -5,14 +5,15 @@ functions).  :func:`project_monotone` computes the weighted L2 projection onto
 it by pool-adjacent-violators (PAVA).  The projection is the right derivative
 of the convexified primitive, so :func:`lower_convex_envelope` reads the hull
 of :func:`cumulative_primitive` off the same fit: its vertices are the nodes
-where the fit steps up.  Block variants project onto the flat subspace of a
-partition (:func:`project_subspace`) and onto its tangent cone
-(:func:`project_tangent_cone`).
+where the fit steps up.  Restricted by ``joins`` to the pairs of clusters in
+contact, the same fit is the projection onto the cone's tangent cone, which
+is the sticky merge rule at one instant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,8 +22,6 @@ __all__ = [
     "project_monotone",
     "lower_convex_envelope",
     "cumulative_primitive",
-    "project_subspace",
-    "project_tangent_cone",
 ]
 
 
@@ -68,17 +67,23 @@ def _weights_like(values: np.ndarray, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != values.shape:
         raise ValueError("weights must match values in shape")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("weights must be strictly positive")
     return w
 
 
-def project_monotone(values, weights=None) -> np.ndarray:
+def project_monotone(values, weights=None, joins=None) -> np.ndarray:
     """Weighted L2 projection onto nondecreasing sequences (isotonic fit).
 
     Pool-adjacent-violators with weighted pooling.  Blocks carry the running
     sums (w, w*y) and violations are tested by cross-multiplication, the
     chord-slope comparison on the cumulative primitive.
+
+    ``joins`` holds one bool per adjacent pair ``(i, i+1)``, ``None`` flagging
+    every pair.  Pooling crosses only flagged pairs, and only their entries are
+    visited: the fit is monotone on each maximal run of flagged pairs and the
+    identity elsewhere, the projection onto the tangent cone at the clusters
+    those runs form.
 
     The weighted mean is preserved exactly and the map is a contraction in
     every weighted L^p norm.
@@ -86,29 +91,42 @@ def project_monotone(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be a 1-d array")
-    if v.size == 0:
-        return v.copy()
-    w = _weights_like(v, weights)
+    if joins is None:
+        at, sizes = slice(None), [v.size]
+    else:
+        joins = np.asarray(joins)
+        if joins.dtype != bool or joins.shape != (max(v.size - 1, 0),):
+            raise ValueError("joins must hold one bool per adjacent pair of values")
+        pad = np.concatenate(([False], joins, [False]))
+        s, e = (pad[1:] != pad[:-1]).nonzero()[0].reshape(-1, 2).T  # pairs s..e-1: entries s..e
+        at = (pad[1:] | pad[:-1]).nonzero()[0]
+        sizes = (e - s + 1).tolist()
+    w = _weights_like(v, weights)[at]
+    wl, wyl = w.tolist(), (w * v[at]).tolist()
 
-    sw: list[float] = []  # pooled weight per block
-    swy: list[float] = []  # pooled weight*value per block
-    counts: list[int] = []
-    for wi, wyi in zip(w.tolist(), (w * v).tolist()):
-        ci = 1
-        # pool while the previous block mean exceeds the new one
-        while swy and swy[-1] * wi > wyi * sw[-1]:
-            wi += sw.pop()
-            wyi += swy.pop()
-            ci += counts.pop()
-        sw.append(wi)
-        swy.append(wyi)
-        counts.append(ci)
-    if len(counts) == v.size:
+    sw, swy, counts = [], [], []  # pooled weight, weight*value and count per block
+    entries = zip(wl, wyl)
+    for size in sizes:
+        # a barrier block: -inf * wi > wyi * 1.0 never holds, so nothing pools into it
+        sw.append(1.0)
+        swy.append(-np.inf)
+        counts.append(0)
+        for wi, wyi in islice(entries, size):
+            ci = 1
+            # pool while the previous block mean exceeds the new one
+            while swy[-1] * wi > wyi * sw[-1]:
+                wi += sw.pop()
+                wyi += swy.pop()
+                ci += counts.pop()
+            sw.append(wi)
+            swy.append(wyi)
+            counts.append(ci)
+    if len(counts) == len(wl) + len(sizes):
         return v.copy()
     reps = np.array(counts)
-    out = np.repeat(np.array(swy) / np.array(sw), reps)
-    alone = np.repeat(reps == 1, reps)
-    out[alone] = v[alone]  # an entry that pools with nothing is its own projection
+    out = v.copy()
+    # an entry that pools with nothing is its own projection
+    out[at] = np.where((reps > 1).repeat(reps), (np.array(swy) / np.array(sw)).repeat(reps), v[at])
     return out
 
 
@@ -138,52 +156,3 @@ def lower_convex_envelope(values, weights=None) -> PiecewiseLinear:
     rises = np.flatnonzero(np.diff(project_monotone(values, weights)) > 0.0) + 1
     keep = np.concatenate(([0], rises, [pl.nodes.size - 1]))
     return PiecewiseLinear(pl.nodes[keep], pl.values[keep])
-
-
-def _validate_blocks(blocks, n: int) -> list[tuple[int, int]]:
-    out = []
-    prev_stop = 0
-    for blk in blocks:
-        try:
-            start, stop = int(blk[0]), int(blk[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"malformed partition block {blk!r}") from exc
-        if not (0 <= start < stop <= n) or start < prev_stop:
-            raise ValueError(
-                f"partition blocks must be disjoint ordered half-open ranges in [0,{n}); got {blk!r}"
-            )
-        prev_stop = stop
-        out.append((start, stop))
-    return out
-
-
-def project_subspace(values, blocks, weights=None) -> np.ndarray:
-    """Replace each half-open index block by its weighted mean.
-
-    Indices not covered by any block pass through unchanged.  This is the
-    orthogonal projection onto the subspace of functions constant on the
-    blocks; it preserves the overall weighted mean and is idempotent.
-    """
-    v = np.asarray(values, dtype=float)
-    w = _weights_like(v, weights)
-    out = v.copy()
-    for start, stop in _validate_blocks(blocks, v.size):
-        out[start:stop] = np.sum(w[start:stop] * v[start:stop]) / np.sum(w[start:stop])
-    return out
-
-
-def project_tangent_cone(values, blocks, weights=None) -> np.ndarray:
-    """Isotonic fit independently within each block, identity elsewhere.
-
-    This is the projection onto the tangent cone of the monotone cone at a
-    configuration whose maximal clusters are the given blocks: inside a
-    cluster the perturbation must be nondecreasing, across distinct clusters
-    it is unconstrained.
-    """
-    v = np.asarray(values, dtype=float)
-    w = _weights_like(v, weights)
-    out = v.copy()
-    for start, stop in _validate_blocks(blocks, v.size):
-        out[start:stop] = project_monotone(v[start:stop], w[start:stop])
-    return out
-

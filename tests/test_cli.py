@@ -187,6 +187,19 @@ def _gaussian(**params):
     _gaussian(x_scale=-1),
     _gaussian(v_loc="a"),
     _gaussian(seed="x"),
+    # amplitudes must be finite: JSON 1e400 parses to inf
+    lambda c: dict(c, kernel={"type": "all_to_all", "K": 1e400}),
+    lambda c: dict(c, kernel={"type": "power_law", "c": 1e400, "beta": 0.5}),
+    lambda c: dict(c, kernel={"type": "exponential", "a": 1e400}),
+    lambda c: dict(c, kernel={"type": "compact_bump", "height": 1e400}),
+    # finite positions whose natural velocities overflow
+    lambda c: dict(c, kernel={"type": "all_to_all", "K": 10.0},
+                   particles=dict(c["particles"], positions=[-1e308, 1e308])),
+    lambda c: dict(c, tolerances={"atol": 0, "rtol": 0}),
+    lambda c: dict(c, tolerances={"atol": "nan"}),
+    lambda c: dict(c, tolerances={"atol": -1e-10}),
+    lambda c: dict(c, tolerances={"rtol": -1e-9}),
+    lambda c: dict(c, tolerances={"atol": 1e400}),
 ])
 def test_simulate_config_errors(tmp_path, mangle, capsys):
     cfg = write_config(tmp_path, mangle(dict(HEAD_ON)))

@@ -219,6 +219,16 @@ def test_cascade_overlap_whose_barycentre_crosses_a_neighbour_takes_it_in():
     assert post.velocities[0] == pytest.approx(1 / 3, abs=1e-15)
 
 
+def test_cascade_pools_overlaps_before_the_contact_fit():
+    # clusters 0 and 1 overlap and pool to velocity 0, below cluster 2 (0.5),
+    # which is in contact but separating; fitting the raw velocities instead
+    # would pool 1 and 0.5 and merge cluster 2 in too
+    ens = at_instant([1 / 3] * 3, [0.0, -0.5 * EPS, 1.0 * EPS], [-1.0, 1.0, 0.5])
+    post, events = _cascade(ens, 0.0, EPS)
+    assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 1)]
+    assert post.velocities.tolist() == [0.0, 0.5]
+
+
 _gap = st.one_of(st.floats(0.05, 1.95).map(lambda g: g * EPS), st.just(1.0))
 
 

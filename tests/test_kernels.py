@@ -304,6 +304,11 @@ def test_config_rejects_malformed(cfg):
     lambda: AllToAll(0.0),
     lambda: Exponential(-0.5),
     lambda: CompactBump(0.0, 1.0),
+    lambda: AllToAll(math.inf),
+    lambda: PowerLaw(math.inf, 0.5, 1.0),
+    lambda: Exponential(math.inf),
+    lambda: CompactBump(1.0, math.inf),
+    lambda: CompactBump(1.0, math.nan),
 ])
 def test_parameter_validation(bad):
     with pytest.raises(ValueError):

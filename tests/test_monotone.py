@@ -1,11 +1,11 @@
 """Isotonic projection against a partition-enumeration oracle, the envelope
-against the hull sweep of conftest.py, and the block projections."""
+against the hull sweep of conftest.py, and the fit restricted by ``joins``."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,8 +14,6 @@ from stickyalign import (
     cumulative_primitive,
     lower_convex_envelope,
     project_monotone,
-    project_subspace,
-    project_tangent_cone,
 )
 from tests.conftest import sweep_envelope
 
@@ -206,42 +204,67 @@ def test_piecewise_linear_validation():
     assert pl(-1.0) == 0.0 and pl(2.0) == 2.0  # clamped outside the span
 
 
-# -- block projections --------------------------------------------------
+# -- the fit restricted to flagged pairs -----------------------------------
 
 
-def test_project_subspace_pools_blocks():
-    v = [1.0, 3.0, 5.0, 7.0]
-    w = [1.0, 1.0, 2.0, 2.0]
-    out = project_subspace(v, [(0, 2), (2, 4)], weights=w)
-    np.testing.assert_allclose(out, [2.0, 2.0, 6.0, 6.0], rtol=1e-15)
-    # identity outside blocks
-    out = project_subspace(v, [(1, 3)], weights=w)
-    np.testing.assert_allclose(out, [1.0, 13.0 / 3.0, 13.0 / 3.0, 7.0], rtol=1e-15)
+def _run_bounds(joins):
+    """Half-open entry ranges of the maximal runs of flagged pairs."""
+    edges = np.diff(np.concatenate(([0], np.asarray(joins, dtype=np.int8), [0])))
+    return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1))
+
+
+_tied = st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100))
+
+
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+           hnp.arrays(np.float64, n, elements=_tied),
+           hnp.arrays(np.float64, n, elements=st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7])),
+           st.one_of(st.just(np.ones(max(n - 1, 0), bool)),
+                     st.just(np.zeros(max(n - 1, 0), bool)),
+                     hnp.arrays(np.bool_, max(n - 1, 0))))))
+@example((np.array([]), np.array([]), np.array([], bool)))
+@example((np.array([2.0]), np.array([0.5]), np.array([], bool)))
+@example((np.array([1.0, 1.0, 0.0]), np.array([0.3, 1.7, 0.3]), np.array([True, True])))
+@settings(max_examples=300, deadline=None)
+def test_joined_fit_is_the_fit_of_each_run(case):
+    """On each run of flagged pairs the masked fit is bit for bit the fit of
+    that run alone; every other entry keeps its value."""
+    v, w, joins = case
+    out = project_monotone(v, w, joins)
+    rest = np.ones(v.size, bool)
+    for a, b in _run_bounds(joins):
+        assert out[a:b].tobytes() == project_monotone(v[a:b], w[a:b]).tobytes()
+        rest[a:b] = False
+    assert out[rest].tobytes() == v[rest].tobytes()
+    if joins.all():
+        assert out.tobytes() == project_monotone(v, w).tobytes()
 
 
 def test_project_tangent_cone_blockwise_isotonic():
     v = [3.0, 1.0, 9.0, 2.0]
-    out = project_tangent_cone(v, [(0, 2)])
+    out = project_monotone(v, joins=np.array([True, False, False]))
     np.testing.assert_allclose(out, [2.0, 2.0, 9.0, 2.0], rtol=1e-15)
-    # across distinct blocks the order is unconstrained
-    out = project_tangent_cone(v, [(0, 2), (2, 4)])
+    # across an unflagged pair the order is unconstrained
+    out = project_monotone(v, joins=np.array([True, False, True]))
     np.testing.assert_allclose(out, [2.0, 2.0, 5.5, 5.5], rtol=1e-15)
 
 
 def test_block_validation():
-    for bad in ([(2, 1)], [(0, 3), (2, 4)], [(-1, 2)], [(0, 9)]):
+    for bad in (np.ones(4, bool), np.ones(2, bool), np.ones((1, 3), bool),
+                np.ones(3), [1, 0, 1], np.array([], bool)):
         with pytest.raises(ValueError):
-            project_subspace(np.zeros(4), bad)
+            project_monotone(np.zeros(4), joins=bad)
+    assert project_monotone([], joins=np.array([], bool)).size == 0
 
 
 def test_projection_norm_inequality(rng):
-    """Tangent-cone projection never increases the weighted L2 norm
-    (it is a projection onto a convex cone containing 0)."""
+    """The masked fit never increases the weighted L2 norm (it is the
+    projection onto a convex cone containing 0, the tangent cone at the
+    clusters its runs of flagged pairs form)."""
+    joins = np.ones(11, bool)
+    joins[[3, 6, 7, 8]] = False  # runs (0, 4), (4, 7), (9, 12)
     for _ in range(100):
-        n = 12
-        v = rng.normal(size=n)
-        w = rng.uniform(0.2, 2.0, size=n)
-        blocks = [(0, 4), (4, 7), (9, 12)]
-        out = project_tangent_cone(v, blocks, weights=w)
+        v = rng.normal(size=12)
+        w = rng.uniform(0.2, 2.0, size=12)
+        out = project_monotone(v, w, joins)
         assert np.sum(w * out ** 2) <= np.sum(w * v ** 2) + 1e-12
-
