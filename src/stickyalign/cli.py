@@ -231,8 +231,9 @@ def _metadata(cfg: dict, seed: int | None, wall_time: float) -> dict:
 
 
 def _solver_counts(stats: dict) -> str:
-    return (f"{stats['accepted']} step(s), {stats['rejected']} rejected, "
-            f"{stats['capped']} contact-capped, {stats['rhs_evals']} rhs evaluation(s)")
+    return (f"{stats['events']} merge event(s), {stats['accepted']} step(s), "
+            f"{stats['rejected']} rejected, {stats['capped']} contact-capped, "
+            f"{stats['rhs_evals']} rhs evaluation(s)")
 
 
 def _aborted(exc: NumericalAbortError) -> int:
@@ -266,9 +267,8 @@ def run_simulate(config_path, out_dir, seed: int | None = None,
     except (OSError, RecordIOError) as exc:
         _warn(False, f"cannot write record: {exc}")
         return EXIT_IO_ERROR
-    _say(quiet, f"simulated to t={record.times[-1]:g}: {len(record.events)} merge "
-                f"event(s), {record.snapshots[-1].n_clusters} final cluster(s); "
-                f"{_solver_counts(record.stats)} -> {out_dir}")
+    _say(quiet, f"simulated to t={record.times[-1]:g}: {record.snapshots[-1].n_clusters} "
+                f"final cluster(s); {_solver_counts(record.stats)} -> {out_dir}")
     return EXIT_OK
 
 

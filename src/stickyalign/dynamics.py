@@ -1,4 +1,4 @@
-"""Event-driven integration of the reduced first-order alignment system.
+"""Sticky dynamics of the reduced first-order alignment system.
 
 The state is the vector of cluster positions; the right-hand side is
 
@@ -7,24 +7,39 @@ The state is the vector of cluster positions; the right-hand side is
 with psi frozen at t = 0.  Only the primitive Phi ever gets evaluated, so
 weakly singular kernels are as smooth to the integrator as bounded ones.
 
-Collisions are events: an adjacent gap reaching the contact threshold stops
-the step, the instant is localized by bisection on the cubic-Hermite dense
-output of the accepted Dormand-Prince 5(4) step, and the touching clusters
-merge inelastically.  Each step is capped at the time to the nearest
-contact of a closing pair; a capped step that the error control accepts at
-its first trial hands the size it was offered before the cap (the previous
-step's suggestion) to the next step, whose error control tests it, so the
-step size does not regrow from the cap after every event.  The merge
-rule at one instant is the tangent-cone projection of velocities: one call
-of ``project_monotone`` whose ``joins`` are the pairs in contact, so the
-mass-weighted isotonic fit pools only within each maximal run of contact
-pairs, which conserves momentum.
+For linear Phi (``Zero``, ``AllToAll``) the flow between merges is solved in
+closed form.  Write y = x - xbar_0 and q = psi - psibar (mass-weighted means)
+and K' = K sum m (0 for Zero): a cluster moves as
 
-Zero-measure integrals for later verification (the per-cell convolution
-integral of the projection formula, and the dissipation integral of the
-squared velocity norm) are accumulated with a left-endpoint rule on the grid
-of snapshot nodes and event times, giving clean first-order convergence as
-``snapshot_dt`` shrinks.
+    x(t) = xbar_0 + t psibar + e^{-K't} y + (-expm1(-K't) / K') q,
+
+and a merged cluster pools (m, m y, m q, m psi) and moves by the same
+formula, which is the projection solution X_t = P(X_0 + t psi) of Brenier &
+Grenier (SIAM J. Numer. Anal. 35, 1998) and Natile & Savare (SIAM J. Math.
+Anal. 41, 2009), after a change of time for AllToAll.  Every adjacent pair
+therefore has a closed-form contact time, and one kinetic pass over a heap
+of pair contact times (:mod:`stickyalign.linear`) yields all merge events,
+with no time stepper.
+
+Every other family is integrated event by event: an adjacent gap reaching
+the contact threshold stops the step, the instant is localized by bisection
+on the cubic-Hermite dense output of the accepted Dormand-Prince 5(4) step,
+and the touching clusters merge inelastically.  Each step is capped at the
+time to the nearest contact of a closing pair; a capped step that the error
+control accepts at its first trial hands the size it was offered before the
+cap (the previous step's suggestion) to the next step, whose error control
+tests it, so the step size does not regrow from the cap after every event.
+The merge rule at one instant is the tangent-cone projection of velocities:
+one call of ``project_monotone`` whose ``joins`` are the pairs in contact,
+so the mass-weighted isotonic fit pools only within each maximal run of
+contact pairs, which conserves momentum.
+
+On both paths a pair is in contact once its gap reaches the floor
+``EPS_CONTACT * max(1, max|x|)``, and the integrals kept for later
+verification (the per-cell convolution integral of the projection formula,
+and the dissipation integral of the squared velocity norm) are accumulated
+with a left-endpoint rule on the grid of snapshot nodes and event times,
+giving clean first-order convergence as ``snapshot_dt`` shrinks.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ import numpy as np
 
 from .ensemble import Ensemble, _block_sums
 from .exceptions import InvalidScenarioError, NumericalAbortError
-from .kernels import Kernel
+from .kernels import AllToAll, Kernel, Zero
 from .monotone import project_monotone
 
 __all__ = [
@@ -345,8 +360,9 @@ class SimulationRecord:
     ``phi_integrals[k, i]`` is the per-cell integral of (Phi * rho_s) along
     the cell's cluster trajectory up to ``times[k]``; ``v2_integrals[k]`` the
     integral of the mass-weighted squared velocity norm.  ``stats`` holds the
-    solver's counts of accepted steps, rejected trials, right-hand-side
-    evaluations and contact-capped steps, which ``metadata.json`` keeps.
+    solver's counts of merge events, accepted steps, rejected trials,
+    right-hand-side evaluations and contact-capped steps, which
+    ``metadata.json`` keeps; the closed-form path takes no steps.
     """
 
     kernel: Kernel
@@ -384,17 +400,30 @@ def _snapshot_nodes(t_end: float, snapshot_dt: float) -> list[float]:
 
 def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: float,
              tolerances: Tolerances | None = None) -> SimulationRecord:
-    """Integrate to ``t_end`` with snapshots at multiples of ``snapshot_dt``.
+    """Run to ``t_end`` with snapshots at multiples of ``snapshot_dt``.
 
-    Snapshots taken at an event time show the post-merge state.  Integration
-    always lands exactly on snapshot nodes (the step is capped by the time to
-    the next node), so records of the same scenario at refined ``snapshot_dt``
-    share their coarse nodes.
+    Snapshots taken at an event time show the post-merge state.  ``Zero`` and
+    ``AllToAll`` are solved in closed form by one kinetic pass over the pair
+    contact times (``tolerances`` is unused there, and ``stats`` reports no
+    steps); every other family is integrated by adaptive steps that always
+    land exactly on snapshot nodes (the step is capped by the time to the next
+    node), so records of the same scenario at refined ``snapshot_dt`` share
+    their coarse nodes.
     """
     if not 0.0 < t_end < math.inf:
         raise InvalidScenarioError(f"t_end must be finite and positive, got {t_end}")
     if not 0.0 < snapshot_dt < math.inf:
         raise InvalidScenarioError(f"snapshot_dt must be finite and positive, got {snapshot_dt}")
+    if isinstance(kernel, (Zero, AllToAll)):
+        from .linear import _simulate_linear  # linear.py imports this module's records
+        return _simulate_linear(ensemble, kernel, t_end, snapshot_dt)
+    return _integrate(ensemble, kernel, t_end, snapshot_dt, tolerances)
+
+
+def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: float,
+               tolerances: Tolerances | None = None) -> SimulationRecord:
+    """The time-stepping path of :func:`simulate`, for any kernel; the
+    closed-form path of the linear families is tested against it."""
     tol = tolerances or Tolerances()
     nodes = _snapshot_nodes(t_end, snapshot_dt)
 
@@ -421,7 +450,7 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
         acc_v2 = acc_v2 + dt * float(np.sum(state_mark.masses * state_mark.velocities ** 2))
         t_mark = t_new
 
-    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals", "capped"), 0)
+    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals", "capped", "events"), 0)
     t = 0.0
     dt_hint: float | None = None
     for target in nodes[1:]:
@@ -439,6 +468,7 @@ def simulate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: floa
             stats["rejected"] += res.rejected
             stats["rhs_evals"] += res.rhs_evals
             stats["capped"] += res.capped
+            stats["events"] += len(res.events)
             t_new = t + res.dt_taken
             if res.events:
                 accumulate_to(t_new)

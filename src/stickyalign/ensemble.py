@@ -39,9 +39,10 @@ MASS_BUDGET_TOL = 1e-12
 
 
 def _block_sums(a, starts) -> np.ndarray:
-    """``np.sum`` of each block ``a[starts[k]:starts[k + 1]]``, bit for bit:
+    """``np.sum`` of each block ``a[..., starts[k]:starts[k + 1]]``, bit for bit:
     a zero in front of every block makes ``np.add.reduceat`` add in that order."""
-    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(starts.size))
+    return np.add.reduceat(np.insert(a, starts, 0.0, axis=-1),
+                           starts + np.arange(starts.size), axis=-1)
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -69,21 +70,30 @@ def _checked_cells(masses, positions, velocities, *, normalize: bool = False):
         m = m / total
     elif abs(total - 1.0) > MASS_BUDGET_TOL:
         raise InvalidEnsembleError(f"masses must sum to 1 (got {total!r})")
-    if np.any(np.diff(x) < 0.0):
+    if np.any(x[1:] < x[:-1]):  # compared, not subtracted: a gap may overflow
         raise InvalidEnsembleError("positions must be nondecreasing")
     return m, x, v
+
+
+def _checked_psi(m, x, v, kernel: Kernel) -> np.ndarray:
+    """psi = v + (Phi * rho)(x) of checked cell arrays; a non-finite result
+    (an overflowing convolution) is an :class:`InvalidEnsembleError`."""
+    psi = v + kernel.convolve(x, x, m)
+    if not np.all(np.isfinite(psi)):
+        raise InvalidEnsembleError("natural velocities must be finite")
+    return psi
 
 
 def natural_velocities(masses, positions, velocities, kernel: Kernel) -> np.ndarray:
     """psi_i = v_i + sum_j m_j Phi(x_i - x_j), through ``kernel.convolve``.
 
-    The cells are checked as :meth:`Ensemble.from_particles` checks them, but
-    the masses may have any positive total.  The self term vanishes because
-    Phi(0) = 0, so weakly singular kernels are safe here (only the primitive is
-    evaluated).
+    The cells and the result are checked as :meth:`Ensemble.from_particles`
+    checks them, but the masses may have any positive total.  The self term
+    vanishes because Phi(0) = 0, so weakly singular kernels are safe here
+    (only the primitive is evaluated).
     """
     _, x, v = _checked_cells(masses, positions, velocities, normalize=True)
-    return v + kernel.convolve(x, x, np.asarray(masses, dtype=float))
+    return _checked_psi(np.asarray(masses, dtype=float), x, v, kernel)
 
 
 @dataclass(frozen=True)
@@ -126,10 +136,8 @@ class Ensemble:
         off by more than ``MASS_BUDGET_TOL`` is an error.
         """
         m, x, v = _checked_cells(masses, positions, velocities, normalize=normalize)
-        psi = v + kernel.convolve(x, x, m)
-        if not np.all(np.isfinite(psi)):
-            raise InvalidEnsembleError("natural velocities must be finite")
-        starts = np.flatnonzero(np.diff(x, prepend=-np.inf) > 0.0)
+        psi = _checked_psi(m, x, v, kernel)
+        starts = np.flatnonzero(np.concatenate(([True], x[1:] > x[:-1])))
         return Ensemble._assemble(m, x, v, psi, starts,
                                   cluster_positions=x[starts], cluster_velocities=None)
 

@@ -250,7 +250,8 @@ class AllToAll(Kernel):
 
     def convolve(self, at, positions, masses) -> np.ndarray:
         total = masses.sum()
-        return self.K * total * (at - (masses @ positions) / total)
+        with np.errstate(over="ignore"):  # callers refuse a non-finite result
+            return self.K * total * (at - (masses @ positions) / total)
 
     def energy(self, x, m) -> float:
         total = m.sum()

@@ -86,17 +86,36 @@ def test_simulate_happy_path(tmp_path):
     assert meta["wall_time_s"] >= 0.0
 
 
+# an Exponential head-on pair: time-stepped, so every solver count moves
+EXP_HEAD_ON = dict(HEAD_ON, kernel={"type": "exponential", "a": 1.0},
+                   particles=dict(HEAD_ON["particles"], velocities=[2.0, -2.0]))
+
+
 def test_simulate_summary_reports_solver_counts(tmp_path, monkeypatch, capsys):
     made = []
     monkeypatch.setattr(cli, "_simulate", lambda *a: made.append(_simulate(*a)) or made[-1])
-    cfg = write_config(tmp_path, HEAD_ON)
+    cfg = write_config(tmp_path, EXP_HEAD_ON)
     assert run_simulate(cfg, tmp_path / "run", quiet=False) == EXIT_OK
     st = made[0].stats
     assert st["accepted"] > 0 and st["rhs_evals"] >= 7 * st["accepted"]
-    assert (f"{st['accepted']} step(s), {st['rejected']} rejected, {st['capped']} "
-            f"contact-capped, {st['rhs_evals']} rhs evaluation(s)") in capsys.readouterr().out
+    assert st["events"] == len(made[0].events) == 1
+    assert (f"{st['events']} merge event(s), {st['accepted']} step(s), {st['rejected']} "
+            f"rejected, {st['capped']} contact-capped, {st['rhs_evals']} rhs evaluation(s)"
+            ) in capsys.readouterr().out
     # the counts are saved with the record and come back with it
     assert json.loads((tmp_path / "run" / "metadata.json").read_text())["stats"] == st
+    assert load_record(tmp_path / "run").stats == st
+
+
+def test_simulate_summary_of_a_closed_form_run(tmp_path, monkeypatch, capsys):
+    # Zero is solved without a time stepper: one event and no solver work
+    made = []
+    monkeypatch.setattr(cli, "_simulate", lambda *a: made.append(_simulate(*a)) or made[-1])
+    assert run_simulate(write_config(tmp_path, HEAD_ON), tmp_path / "run", quiet=False) == EXIT_OK
+    st = made[0].stats
+    assert st == {"accepted": 0, "rejected": 0, "rhs_evals": 0, "capped": 0, "events": 1}
+    assert ("1 merge event(s), 0 step(s), 0 rejected, 0 contact-capped, "
+            "0 rhs evaluation(s)") in capsys.readouterr().out
     assert load_record(tmp_path / "run").stats == st
 
 
@@ -233,11 +252,12 @@ def test_simulate_numerical_abort(tmp_path, capsys):
     with pytest.raises(stickyalign.NumericalAbortError) as info:
         _simulate(ens, kernel, 1.0, 0.5, stickyalign.Tolerances(1e-300, 1e-300))
     stats = info.value.stats
-    assert set(stats) == {"accepted", "rejected", "rhs_evals", "capped", "t"}
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "capped", "events", "t"}
     assert stats["rhs_evals"] > 0 and 0.0 <= stats["t"] < 1.0
-    assert (f"simulation aborted: {info.value}; {stats['accepted']} step(s), "
-            f"{stats['rejected']} rejected, {stats['capped']} contact-capped, "
-            f"{stats['rhs_evals']} rhs evaluation(s) by t={stats['t']:g}") in err
+    assert (f"simulation aborted: {info.value}; {stats['events']} merge event(s), "
+            f"{stats['accepted']} step(s), {stats['rejected']} rejected, "
+            f"{stats['capped']} contact-capped, {stats['rhs_evals']} rhs evaluation(s) "
+            f"by t={stats['t']:g}") in err
 
 
 def test_simulate_unwritable_out(tmp_path):
@@ -384,8 +404,8 @@ def test_converge_honours_tolerances(tmp_path, capsys):
     })
     assert run_converge(cfg, tmp_path / "study", quiet=True) == EXIT_NUMERICAL_ABORT
     err = capsys.readouterr().err
-    assert re.search(r"simulation aborted: .*; \d+ step\(s\), \d+ rejected, \d+ contact-capped, "
-                     r"\d+ rhs evaluation\(s\) by t=", err)
+    assert re.search(r"simulation aborted: .*; \d+ merge event\(s\), \d+ step\(s\), \d+ rejected, "
+                     r"\d+ contact-capped, \d+ rhs evaluation\(s\) by t=", err)
 
 
 def test_converge_single_resolution(tmp_path):

@@ -1,5 +1,8 @@
 """Event-driven integrator: closed-form scenarios, ODE oracles, invariants."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,13 @@ from stickyalign import (
     Zero,
     cumulative_primitive,
     drift,
+    project_monotone,
     simulate,
     step,
 )
 from stickyalign import dynamics
 from stickyalign.dynamics import _A, _E, _attempt, _cascade, _error_norm, _first_trigger, _hermite
+from stickyalign.verify import verify_record
 from tests.conftest import dyadic_masses, random_scenario, sweep_envelope
 
 
@@ -518,7 +523,8 @@ def test_step_count_regression(monkeypatch):
     assert rec.stats == {"accepted": len(results),
                          "rejected": sum(r.rejected for r in results),
                          "rhs_evals": len(rhs_calls),
-                         "capped": sum(r.capped for r in results)}
+                         "capped": sum(r.capped for r in results),
+                         "events": sum(len(r.events) for r in results)}
     assert rec.stats["rejected"] > 0 and rec.stats["capped"] > 0
 
 
@@ -545,6 +551,71 @@ def test_drift_formula(rng):
                                for j in range(ens.n_clusters))
               for i in range(ens.n_clusters)]
     np.testing.assert_allclose(d, direct, rtol=1e-13, atol=1e-14)
+
+
+# -- the closed form of the linear kernels ---------------------------------
+
+_linear_cells = st.lists(st.tuples(st.integers(1, 8), st.floats(0.01, 1.0), st.floats(-2.0, 2.0)),
+                         min_size=2, max_size=60)
+
+
+@given(_linear_cells, st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_the_integrator(cells, K):
+    """``simulate`` solves Zero and AllToAll without a time stepper; the
+    stepper, run at tolerances that keep its own error below the bounds,
+    finds the same merges, at the same times and velocities."""
+    weights, gaps, v = (np.array(c, dtype=float) for c in zip(*cells))
+    kernel = AllToAll(K) if K else Zero()
+    ens = Ensemble.from_particles(weights, np.cumsum(gaps), v, kernel, normalize=True)
+    rec = simulate(ens, kernel, 2.0, 0.25)
+    ref = dynamics._integrate(ens, kernel, 2.0, 0.25, Tolerances(1e-13, 1e-12))
+    assert rec.stats == {"accepted": 0, "rejected": 0, "rhs_evals": 0, "capped": 0,
+                         "events": len(rec.events)}
+    assert [s.starts.tolist() for s in rec.snapshots] == [s.starts.tolist() for s in ref.snapshots]
+    for s, r in zip(rec.snapshots, ref.snapshots):
+        np.testing.assert_allclose(s.positions, r.positions, rtol=0, atol=1e-8)
+    # a cell range merges once; events of one instant may come in either order
+    by_range = lambda events: sorted(events, key=lambda e: (e.first_index, e.last_index))
+    got, want = by_range(rec.events), by_range(ref.events)
+    assert [(e.first_index, e.last_index) for e in got] == [(e.first_index, e.last_index)
+                                                             for e in want]
+    for e, f in zip(got, want):
+        assert abs(e.time - f.time) <= 1e-9
+        np.testing.assert_allclose(e.pre_velocities, f.pre_velocities, rtol=0, atol=1e-8)
+    assert all(r.passed for r in verify_record(rec))
+
+
+def test_closed_form_all_to_all_stays_finite_at_large_k_t():
+    # K t reaches 2000: exp(K t) overflows, so the solver works with expm1(-K t)
+    rng = np.random.default_rng(10)
+    kernel = AllToAll(10.0)
+    ens, _ = random_scenario(rng, 30, kernel=kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = simulate(ens, kernel, 200.0, 10.0)
+        results = verify_record(rec)
+    assert rec.events and all(r.passed for r in results)
+    for snap in rec.snapshots:
+        assert np.all(np.isfinite(snap.positions)) and np.all(np.isfinite(snap.velocities))
+    assert np.all(np.isfinite(rec.phi_integrals)) and np.all(np.isfinite(rec.v2_integrals))
+
+
+def test_closed_form_zero_collapse_at_large_n():
+    # X_t = P(X_0 + t psi): every snapshot is the isotonic fit of free flight
+    rng = np.random.default_rng(11)
+    n = 10_000
+    m = dyadic_masses(rng, n)
+    x = np.sort(rng.normal(size=n))
+    ens = Ensemble.from_particles(m, x, -x + rng.uniform(-0.25, 0.25, size=n), Zero())
+    start = time.perf_counter()
+    rec = simulate(ens, Zero(), 4.0, 0.25)
+    assert time.perf_counter() - start < 2.0
+    assert len(rec.events) > n // 2
+    for t, snap in zip(rec.times, rec.snapshots):
+        free = ens.cell_positions + t * ens.cell_psi
+        np.testing.assert_allclose(snap.positions[snap.lineage], project_monotone(free, m),
+                                   rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(free))))
 
 
 # -- failure modes -------------------------------------------------------

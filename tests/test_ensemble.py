@@ -46,6 +46,10 @@ def test_natural_velocities_validation():
         natural_velocities([0.5, 0.5], [0.0], [0.0, 0.0], Zero())
     with pytest.raises(InvalidEnsembleError):
         natural_velocities([0.5, 0.5], [0.0, 1.0], [0.0, np.nan], Zero())
+    # finite cells whose convolution overflows: refused as from_particles refuses them
+    for make in (natural_velocities, Ensemble.from_particles):
+        with pytest.raises(InvalidEnsembleError, match="natural velocities must be finite"):
+            make([0.5, 0.5], [-1e308, 1e308], [0.0, 0.0], AllToAll(10.0))
 
 
 class TestFromParticles:
