@@ -21,14 +21,14 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
 )
-from .ensemble import Ensemble, QuantileFunction, natural_velocities
+from .ensemble import Ensemble, QuantileFunction
 from .monotone import (
     PiecewiseLinear,
     cumulative_primitive,
     lower_convex_envelope,
     project_monotone,
 )
-from .metrics import energy, metric_D, modulus_bound, velocity_semidistance, wasserstein
+from .metrics import energy, velocity_semidistance, wasserstein
 from .flux import (
     FluxAnalysis,
     FlockingThresholds,
@@ -39,16 +39,12 @@ from .flux import (
     build_flux,
     flocking_thresholds,
     predicted_partition,
-    separation_bound,
 )
 from .dynamics import (
     MergeEvent,
     SimulationRecord,
-    StepResult,
     Tolerances,
-    drift,
     simulate,
-    step,
 )
 from .records import load_record, save_flux_analysis, save_record
 

@@ -1,8 +1,8 @@
-"""Command-line front end: scenario configs in, CSV artifacts out.
+"""Command-line front end: scenario configs in, records and CSV tables out.
 
 Subcommands
 -----------
-simulate   integrate a scenario and write snapshots/events/accumulators CSV
+simulate   integrate a scenario and write its record (record.npz, metadata.json)
 predict    static clustering forecast (flux/regions/subgroups CSV), no simulation
 verify     run the checkers on a saved record; report JSON, exit 1 on failure
 converge   refinement study over an N ladder; writes the comparison table CSV
@@ -48,7 +48,7 @@ from .exceptions import (
 )
 from .flux import analyze
 from .kernels import Kernel, kernel_from_config
-from .records import _write_table, load_record, save_flux_analysis, save_record
+from .records import RECORD_FILES, _write_table, load_record, save_flux_analysis, save_record
 from .verify import check_flocking, convergence_study, report_json, verify_record
 
 __all__ = ["main", "run_simulate", "run_predict", "run_verify", "run_converge"]
@@ -298,8 +298,7 @@ def run_predict(config_path, out_dir, seed: int | None = None,
 def run_verify(record_dir, quiet: bool = False) -> int:
     """Run all applicable checkers on a saved record; exit code."""
     d = Path(record_dir)
-    missing = [name for name in ("metadata.json", "snapshots.csv", "events.csv")
-               if not (d / name).exists()]
+    missing = [name for name in RECORD_FILES if not (d / name).exists()]
     if missing:
         _warn(False, f"{record_dir} is not a record directory (missing {', '.join(missing)})")
         return EXIT_CONFIG_ERROR
@@ -309,9 +308,6 @@ def run_verify(record_dir, quiet: bool = False) -> int:
         _warn(False, str(exc))
         return EXIT_IO_ERROR
     results = verify_record(record)
-    if record.phi_integrals is None:
-        _warn(quiet, "record has no accumulators.csv; "
-                     "projection/dissipation checks skipped")
     try:
         analysis = analyze(record.initial, record.kernel)
         if len(analysis.subgroups) >= 2:
@@ -404,7 +400,7 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Override the sampler seed.")
 @click.option("--quiet", is_flag=True, help="Suppress non-error output.")
 def _cmd_simulate(config_path, out_dir, seed, quiet):
-    """Integrate a scenario; write snapshots/events/accumulators CSV."""
+    """Integrate a scenario; write its record (record.npz, metadata.json)."""
     sys.exit(run_simulate(config_path, out_dir, seed, quiet))
 
 

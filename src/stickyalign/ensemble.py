@@ -31,7 +31,6 @@ from .kernels import Kernel
 __all__ = [
     "Ensemble",
     "QuantileFunction",
-    "natural_velocities",
 ]
 
 #: relative slack allowed on sum(masses) == 1 at construction
@@ -75,27 +74,6 @@ def _checked_cells(masses, positions, velocities, *, normalize: bool = False):
     return m, x, v
 
 
-def _checked_psi(m, x, v, kernel: Kernel) -> np.ndarray:
-    """psi = v + (Phi * rho)(x) of checked cell arrays; a non-finite result
-    (an overflowing convolution) is an :class:`InvalidEnsembleError`."""
-    psi = v + kernel.convolve(x, x, m)
-    if not np.all(np.isfinite(psi)):
-        raise InvalidEnsembleError("natural velocities must be finite")
-    return psi
-
-
-def natural_velocities(masses, positions, velocities, kernel: Kernel) -> np.ndarray:
-    """psi_i = v_i + sum_j m_j Phi(x_i - x_j), through ``kernel.convolve``.
-
-    The cells and the result are checked as :meth:`Ensemble.from_particles`
-    checks them, but the masses may have any positive total.  The self term
-    vanishes because Phi(0) = 0, so weakly singular kernels are safe here
-    (only the primitive is evaluated).
-    """
-    _, x, v = _checked_cells(masses, positions, velocities, normalize=True)
-    return _checked_psi(np.asarray(masses, dtype=float), x, v, kernel)
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Cluster-resolved state over an immutable cell (original particle) grid.
@@ -133,10 +111,14 @@ class Ensemble:
         pre-merged into a single cluster (mass-weighted velocity and psi), so
         the cluster positions are strictly increasing from the start.  With
         ``normalize`` the masses are rescaled to total 1; otherwise a total
-        off by more than ``MASS_BUDGET_TOL`` is an error.
+        off by more than ``MASS_BUDGET_TOL`` is an error, and so are natural
+        velocities psi = v + (Phi * rho)(x) that are not finite (an
+        overflowing convolution).
         """
         m, x, v = _checked_cells(masses, positions, velocities, normalize=normalize)
-        psi = _checked_psi(m, x, v, kernel)
+        psi = v + kernel.convolve(x, x, m)
+        if not np.all(np.isfinite(psi)):
+            raise InvalidEnsembleError("natural velocities must be finite")
         starts = np.flatnonzero(np.concatenate(([True], x[1:] > x[:-1])))
         return Ensemble._assemble(m, x, v, psi, starts,
                                   cluster_positions=x[starts], cluster_velocities=None)

@@ -13,21 +13,19 @@ exact labeling and forecast rules.
 
 A maximal interval of constant A** slope is a *subgroup*: the mass that can
 ever aggregate.  Distinct subgroups have strictly increasing slopes (their
-natural velocities), and stay separated by an explicit positive distance for
-all time (:func:`separation_bound`); the inter-subgroup distance either grows
-linearly (thin-tail kernels, large velocity gap) or stays inside a computable
-band (:func:`flocking_thresholds`).
+natural velocities); the inter-subgroup distance either grows linearly
+(thin-tail kernels, large velocity gap) or stays inside a computable band
+(:func:`flocking_thresholds`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, QuantileFunction
+from .ensemble import Ensemble
 from .exceptions import KernelRangeError
 from .kernels import Kernel
 from .monotone import PiecewiseLinear, cumulative_primitive, lower_convex_envelope
@@ -43,7 +41,6 @@ __all__ = [
     "build_flux",
     "analyze",
     "predicted_partition",
-    "separation_bound",
     "flocking_thresholds",
 ]
 
@@ -122,25 +119,6 @@ class FluxAnalysis:
     regions: tuple[Region, ...]
     subgroups: tuple[Subgroup, ...]
 
-    @property
-    def _edges(self) -> np.ndarray:
-        """First cell of each subgroup, then the cell count (hull vertices are A nodes)."""
-        return np.searchsorted(self.A.nodes, self.A_star_star.nodes)
-
-    @property
-    def envelope_slopes_per_cell(self) -> np.ndarray:
-        """A** slope over each cell (== isotonic fit of cell psi)."""
-        return np.repeat(self.A_star_star.slopes, np.diff(self._edges))
-
-    def subgroup_at(self, m: float) -> Subgroup:
-        """Subgroup whose half-open mass interval contains ``m``; the last
-        subgroup at the right end of the mass interval."""
-        nodes = self.A_star_star.nodes
-        if not 0.0 <= m <= max(1.0, nodes[-1]):
-            raise ValueError(f"mass coordinate {m} outside [0, 1]")
-        k = int(np.searchsorted(nodes, m, side="right")) - 1
-        return self.subgroups[min(k, len(self.subgroups) - 1)]
-
 
 _LABELS = tuple(RegionLabel)  # the label and forecast codes below index these
 _FORECASTS = tuple(Forecast)
@@ -202,7 +180,8 @@ def predicted_partition(analysis: FluxAnalysis, ensemble: Ensemble) -> list[tupl
     """
     cuts = ensemble.starts[1:]
     if analysis.kernel.reciprocal_phi_integrable_at_zero:
-        cuts = cuts[np.isin(cuts, analysis._edges)]
+        # the first cell of each subgroup (hull vertices are A nodes)
+        cuts = cuts[np.isin(cuts, np.searchsorted(analysis.A.nodes, analysis.A_star_star.nodes))]
     else:
         # compare objects: against a plain str-valued member numpy compares strings
         sup = (np.asarray(analysis.cell_labels, dtype=object)
@@ -220,28 +199,6 @@ def _inv_big_phi(kernel: Kernel, y: float) -> float | None:
         return float(kernel.inv_big_phi(y))
     except KernelRangeError:
         return None
-
-
-def separation_bound(analysis: FluxAnalysis, initial: QuantileFunction,
-                     m1: float, m2: float) -> float:
-    """Time-independent lower bound on X_t(m2) - X_t(m1).
-
-    Requires the envelope slopes psi' = (A**)'(m1) < psi'' = (A**)'(m2), i.e.
-    the two mass coordinates sit in distinct subgroups.  With
-    sigma = (psi'' - psi')/2, the attraction can never close distances below
-    eta = 2 Phi^{-1}(sigma/2) (infinite when sigma/2 is out of Phi's range),
-    so the gap stays at least min(initial gap, eta).
-    """
-    psi1 = analysis.subgroup_at(m1).psi
-    psi2 = analysis.subgroup_at(m2).psi
-    if not psi1 < psi2:
-        raise ValueError(
-            f"separation bound needs increasing subgroup velocities; got {psi1} !< {psi2}")
-    sigma = 0.5 * (psi2 - psi1)
-    inv = _inv_big_phi(analysis.kernel, 0.5 * sigma)
-    eta = math.inf if inv is None else 2.0 * inv
-    gap0 = float(initial(m2)) - float(initial(m1))
-    return min(gap0, eta)
 
 
 def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> FlockingThresholds:

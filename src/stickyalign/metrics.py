@@ -18,9 +18,7 @@ from .kernels import Kernel
 __all__ = [
     "wasserstein",
     "velocity_semidistance",
-    "metric_D",
     "energy",
-    "modulus_bound",
 ]
 
 
@@ -74,16 +72,6 @@ def velocity_semidistance(q1: QuantileFunction, v1, q2: QuantileFunction, v2,
     return _lp_step(v1[idx1] - v2[idx2], widths, p)
 
 
-def metric_D(q1: QuantileFunction, v1, q2: QuantileFunction, v2,
-             p: float = 2.0) -> float:
-    """Product metric (W_p^p + U_p^p)^(1/p); max of the two for p = inf."""
-    w = wasserstein(q1, q2, p)
-    u = velocity_semidistance(q1, v1, q2, v2, p)
-    if math.isinf(p):
-        return max(w, u)
-    return float((w ** p + u ** p) ** (1.0 / p))
-
-
 def energy(ensemble: Ensemble, kernel: Kernel) -> float:
     """Interaction energy minus the natural-velocity pairing.
 
@@ -97,18 +85,3 @@ def energy(ensemble: Ensemble, kernel: Kernel) -> float:
     quad = kernel.energy(x, ensemble.masses)
     lin = float(np.sum(ensemble.cell_masses * ensemble.cell_psi * x[ensemble.lineage]))
     return quad - lin
-
-
-def modulus_bound(q1: QuantileFunction, q2: QuantileFunction, kernel: Kernel) -> float:
-    """Uniform-continuity modulus of rho -> Phi * rho in W_2.
-
-    With r = W_2(rho_1, rho_2):
-
-        omega^2 = 8 Phi(max(1, r/2)) Phi(r/2) + (Phi(1) r)^2
-
-    and U_2 of the two convolution profiles is bounded by omega.
-    """
-    r = wasserstein(q1, q2, 2.0)
-    sq = 8.0 * kernel.big_phi(max(1.0, 0.5 * r)) * kernel.big_phi(0.5 * r) \
-        + (kernel.big_phi(1.0) * r) ** 2
-    return math.sqrt(sq)

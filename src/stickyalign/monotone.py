@@ -55,11 +55,6 @@ class PiecewiseLinear:
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.nodes)
 
-    def is_convex(self, tol: float = 0.0) -> bool:
-        """True when chord slopes are nondecreasing (within ``tol``)."""
-        s = self.slopes
-        return bool(np.all(np.diff(s) >= -tol))
-
 
 def _weights_like(values: np.ndarray, weights) -> np.ndarray:
     if weights is None:

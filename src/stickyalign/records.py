@@ -1,39 +1,41 @@
-"""Disk round-trip of simulation output: CSV tables plus a JSON manifest.
+"""Disk round-trip of simulation output: one array file plus a JSON manifest.
 
-A saved run is a directory with ``snapshots.csv``, ``events.csv``,
-``accumulators.csv`` and ``metadata.json``.  The manifest carries the kernel
-configuration, the immutable cell data and the solver counts
-(``SimulationRecord.stats``, under ``stats``); the CSV tables carry everything
-time-dependent, each written and read as one 2-D float array:
+A saved run is a directory with ``record.npz`` and ``metadata.json``.  The
+manifest carries the kernel configuration and the solver counts
+(``SimulationRecord.stats``, under ``stats``).  ``record.npz`` is an
+uncompressed ``np.savez`` archive of these arrays:
 
-* ``snapshots.csv``: ``t, position, velocity``, one row per cluster and time,
-  clusters in order (a row's cluster index is its rank within its time).
-  Cluster masses and psi are not stored: they are pooled from the cells.
-* ``events.csv``: ``t, first_index, last_index, post_velocity, post_psi``.
-* ``accumulators.csv``: one row per snapshot time, with the columns
-  ``t, v_norm2_integral, phi_0 ... phi_{N-1}`` (one per cell).
+* ``cells``: float ``(4, N)``, the cell masses, positions, velocities and psi;
+* ``lineage``: int64 ``(N)``, the initial cluster of each cell;
+* ``clusters``: int64 ``(T)``, the cluster count at each snapshot time;
+* ``snapshots``: float ``(2, sum(clusters))``, cluster positions and
+  velocities, snapshot after snapshot, clusters in order;
+* ``accumulators``: float ``(T, N + 2)``, one row per snapshot time:
+  ``t, v_norm2_integral, phi_0 ... phi_{N-1}``;
+* ``events``: float ``(E, 3)``, ``t, post_velocity, post_psi``;
+* ``event_cells``: int64 ``(E, 2)``, ``first_index, last_index``.
 
-Every float is written with 17 significant digits so a save/load cycle is
-bit-exact, which the golden regression tests rely on.  A table whose header
-differs from these columns (such as the older snapshot layout with
-``cluster_id``, ``mass`` and ``psi``) is refused.
+Binary floats make a save/load cycle bit-exact, which the golden regression
+tests rely on, and ``np.savez`` stamps every member with one fixed date, so
+saving a loaded record reproduces the file byte for byte.  Cluster masses and
+psi are not stored: they are pooled from the cells.
 
-Loading checks the manifest's cells as ``Ensemble.from_particles`` checks
-raw particles (finite, positive masses totalling 1, nondecreasing positions),
-and their psi for finiteness, and refuses invalid cell data: ``stickyalign
-verify`` exits 4 on it instead of failing its checks.  It then replays the
-merge events over the cell grid to rebuild each snapshot's ``starts`` (an
-event ``[first_index, last_index]`` removes the cluster starts inside it), so
-a loaded record's cluster/cell bookkeeping matches the in-memory one.
-Cluster velocities at event instants are not serialized, hence loaded
+Loading checks the cells as ``Ensemble.from_particles`` checks raw particles
+(finite, positive masses totalling 1, nondecreasing positions), and their psi
+for finiteness, and refuses invalid cell data: ``stickyalign verify`` exits 4
+on it instead of failing its checks.  It then replays the merge events over
+the cell grid to rebuild each snapshot's ``starts`` (an event
+``[first_index, last_index]`` removes the cluster starts inside it), so a
+loaded record's cluster/cell bookkeeping matches the in-memory one.  Cluster
+velocities at event instants are not serialized, hence loaded
 :class:`~stickyalign.dynamics.MergeEvent` objects have
 ``pre_velocities=None``.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +52,18 @@ __all__ = [
     "save_flux_analysis",
 ]
 
-SNAPSHOT_FIELDS = ("t", "position", "velocity")
-EVENT_FIELDS = ("t", "first_index", "last_index", "post_velocity", "post_psi")
+RECORD_FILES = ("metadata.json", "record.npz")
 
-
-def _accumulator_fields(n_cells: int) -> tuple[str, ...]:
-    return ("t", "v_norm2_integral") + tuple(f"phi_{i}" for i in range(n_cells))
+# every member of record.npz with its dtype and number of dimensions
+_MEMBERS = {
+    "cells": (np.dtype(float), 2),
+    "lineage": (np.dtype(np.int64), 1),
+    "clusters": (np.dtype(np.int64), 1),
+    "snapshots": (np.dtype(float), 2),
+    "accumulators": (np.dtype(float), 2),
+    "events": (np.dtype(float), 2),
+    "event_cells": (np.dtype(np.int64), 2),
+}
 
 
 def _write_table(path: Path, fields, table, row_format: str | None = None) -> None:
@@ -72,61 +80,31 @@ def _write_table(path: Path, fields, table, row_format: str | None = None) -> No
         fh.write(row_format * len(table) % tuple(values))
 
 
-def _read_table(path: Path, fields) -> np.ndarray:
-    """The rows under the header ``fields`` as one ``(rows, len(fields))`` float array."""
-    try:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            body = fh.read()
-    except OSError as exc:
-        raise RecordIOError(f"cannot read {path}: {exc}") from exc
-    if header != ",".join(fields):
-        raise RecordIOError(f"{path.name}: expected columns {','.join(fields)}, got {header!r}")
-    if not body.strip():
-        return np.empty((0, len(fields)))
-    try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise RecordIOError(f"malformed {path.name}: {exc}") from exc
-    if table.shape[1] != len(fields):
-        raise RecordIOError(f"malformed {path.name}: rows must have {len(fields)} columns")
-    return table
-
-
 def save_record(record: SimulationRecord, directory, extra_metadata: dict | None = None) -> Path:
     """Write a run to ``directory`` (created if needed); returns the path.
 
     ``extra_metadata`` entries (e.g. a config echo, seed, timings) are merged
-    into ``metadata.json`` next to the kernel and cell data.
+    into ``metadata.json`` next to the kernel and the solver counts.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-
-    snaps = record.snapshots
-    _write_table(d / "snapshots.csv", SNAPSHOT_FIELDS, np.column_stack((
-        np.repeat(record.times, [s.n_clusters for s in snaps]),
-        np.concatenate([s.positions for s in snaps]),
-        np.concatenate([s.velocities for s in snaps]))))
-    _write_table(d / "events.csv", EVENT_FIELDS,
-                 np.array([(ev.time, ev.first_index, ev.last_index, ev.post_velocity,
-                            ev.post_psi) for ev in record.events]).reshape(-1, len(EVENT_FIELDS)))
-    if record.phi_integrals is not None and record.v2_integrals is not None:
-        _write_table(d / "accumulators.csv", _accumulator_fields(record.initial.n_cells),
-                     np.column_stack((record.times, record.v2_integrals, record.phi_integrals)))
-
-    init = record.initial
-    meta = {
-        "format": "stickyalign-record",
-        "kernel": kernel_to_config(record.kernel),
-        "cells": {
-            "masses": init.cell_masses.tolist(),
-            "positions": init.cell_positions.tolist(),
-            "velocities": init.cell_velocities.tolist(),
-            "psi": init.cell_psi.tolist(),
-            "lineage": init.lineage.tolist(),
-        },
-        "stats": record.stats,
-    }
+    init, snaps, events = record.initial, record.snapshots, record.events
+    np.savez(
+        d / "record.npz",
+        cells=np.stack((init.cell_masses, init.cell_positions, init.cell_velocities,
+                        init.cell_psi)),
+        lineage=init.lineage.astype(np.int64),
+        clusters=np.array([s.n_clusters for s in snaps], dtype=np.int64),
+        snapshots=np.stack((np.concatenate([s.positions for s in snaps]),
+                            np.concatenate([s.velocities for s in snaps]))),
+        accumulators=np.column_stack((record.times, record.v2_integrals, record.phi_integrals)),
+        events=np.array([(ev.time, ev.post_velocity, ev.post_psi) for ev in events],
+                        dtype=float).reshape(-1, 3),
+        event_cells=np.array([(ev.first_index, ev.last_index) for ev in events],
+                             dtype=np.int64).reshape(-1, 2),
+    )
+    meta = {"format": "stickyalign-record", "kernel": kernel_to_config(record.kernel),
+            "stats": record.stats}
     if extra_metadata:
         meta.update(extra_metadata)
     with open(d / "metadata.json", "w") as fh:
@@ -135,19 +113,33 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
     return d
 
 
+def _read_arrays(path: Path) -> dict[str, np.ndarray]:
+    """Every member of ``record.npz``, each checked for its dtype and ndim."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in _MEMBERS}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, RuntimeError,
+            zipfile.BadZipFile) as exc:
+        raise RecordIOError(f"cannot read {path}: {exc}") from exc
+    for name, (dtype, ndim) in _MEMBERS.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+            raise RecordIOError(f"{path.name}: {name} must be a {ndim}-D {dtype} array, got a "
+                                f"{arrays[name].ndim}-D {arrays[name].dtype} array")
+    return arrays
+
+
 def load_record(directory) -> SimulationRecord:
     """Rebuild a :class:`SimulationRecord` saved by :func:`save_record`.
 
-    Snapshot partitions are replayed from the event table: at each snapshot
-    the replay consumes events (in file order) until the cluster count
-    matches the snapshot's row count, so events recorded exactly at a node
-    land on the correct side.  An event left over after the last snapshot is
-    an error, as are snapshot rows whose positions are not finite and strictly
-    increasing within one time, or whose velocities are not finite.  A missing
-    ``accumulators.csv`` loads with the integral fields
-    set to ``None``, a manifest without ``stats`` with ``stats == {}``;
-    invalid cell data, and anything else missing or inconsistent, raises
-    :class:`RecordIOError`.
+    Snapshot partitions are replayed from the events: at each snapshot the
+    replay consumes events (in file order) until the cluster count matches
+    the snapshot's, so events recorded exactly at a node land on the correct
+    side.  An event left over after the last snapshot is an error, as are
+    snapshot rows whose positions are not finite and strictly increasing
+    within one time, or whose velocities are not finite.  A manifest without
+    ``stats`` loads with ``stats == {}``; invalid cell data, and anything else
+    missing or inconsistent (an older CSV layout has no ``record.npz``),
+    raises :class:`RecordIOError`.
     """
     d = Path(directory)
     try:
@@ -157,85 +149,81 @@ def load_record(directory) -> SimulationRecord:
         raise RecordIOError(f"cannot read {d / 'metadata.json'}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RecordIOError(f"malformed metadata.json: {exc}") from exc
-
     try:
         kernel = kernel_from_config(meta["kernel"])
-        cell_data = meta["cells"]
-        m, x, v = _checked_cells(cell_data["masses"], cell_data["positions"],
-                                 cell_data["velocities"])
-        psi = np.array(cell_data["psi"], dtype=float)
-        lineage0 = np.array(cell_data["lineage"], dtype=np.intp)
         stats = meta.get("stats", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordIOError(f"malformed metadata.json: {exc}") from exc
-    except InvalidEnsembleError as exc:
-        raise RecordIOError(f"metadata.json: cells: {exc}") from exc
-    if psi.shape != m.shape or lineage0.shape != m.shape or not np.all(np.isfinite(psi)):
-        raise RecordIOError("metadata.json: cells: psi and lineage need one entry per cell, "
-                            "psi finite")
     if not (isinstance(stats, dict) and all(type(n) is int and n >= 0 for n in stats.values())):
         raise RecordIOError("metadata.json: stats must map names to non-negative integers")
 
-    ev_table = _read_table(d / "events.csv", EVENT_FIELDS)
-    first, last = ev_table[:, 1], ev_table[:, 2]
-    bad = ~((0 <= first) & (first < last) & (last < m.size)
-            & (first == np.floor(first)) & (last == np.floor(last)))
+    arrays = _read_arrays(d / "record.npz")
+    cells, lineage0, clusters = arrays["cells"], arrays["lineage"], arrays["clusters"]
+    rows, acc = arrays["snapshots"], arrays["accumulators"]
+    ev_table, ev_cells = arrays["events"], arrays["event_cells"]
+    n = lineage0.size
+    if not (cells.shape == (4, n) and acc.shape == (clusters.size, n + 2)
+            and rows.shape == (2, int(np.sum(clusters))) and np.all(clusters > 0)
+            and ev_table.shape[1] == 3 and ev_cells.shape == (len(ev_table), 2)):
+        raise RecordIOError("record.npz: array shapes do not match one another (cells (4, N), "
+                            "accumulators (T, N + 2), snapshots (2, sum of positive clusters), "
+                            "events (E, 3), event_cells (E, 2))")
+    if not clusters.size:
+        raise RecordIOError("record.npz holds no snapshots")
+    try:
+        m, x, v = _checked_cells(*cells[:3])
+    except InvalidEnsembleError as exc:
+        raise RecordIOError(f"record.npz: cells: {exc}") from exc
+    psi = cells[3]
+    if not np.all(np.isfinite(psi)):
+        raise RecordIOError("record.npz: cells: psi must be finite")
+
+    first, last = ev_cells.T
+    bad = ~((0 <= first) & (first < last) & (last < n))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise RecordIOError(f"event at t={ev_table[k, 0]}: bad cell range "
-                            f"[{first[k]:g}, {last[k]:g}] (integers in [0, {m.size}) expected)")
-    events = [MergeEvent(time=t, first_index=int(i), last_index=int(j),
-                         post_velocity=post_v, post_psi=post_psi)
-              for t, i, j, post_v, post_psi in ev_table.tolist()]
+                            f"[{first[k]}, {last[k]}] (indices in [0, {n}) expected)")
+    events = [MergeEvent(time=t, first_index=i, last_index=j, post_velocity=post_v,
+                         post_psi=post_psi)
+              for (t, post_v, post_psi), (i, j) in zip(ev_table.tolist(), ev_cells.tolist())]
 
-    snap_table = _read_table(d / "snapshots.csv", SNAPSHOT_FIELDS)
-    if not snap_table.size:
-        raise RecordIOError("snapshots.csv has no rows")
-    bounds = np.flatnonzero(np.diff(snap_table[:, 0])) + 1
-    times = snap_table[np.concatenate(([0], bounds)), 0]
+    times = acc[:, 0]
     if not np.all(np.diff(times) > 0):
-        raise RecordIOError("snapshots.csv: times must be strictly increasing")
-    t_rows, x_rows, v_rows = snap_table.T
+        raise RecordIOError("record.npz: snapshot times must be strictly increasing")
+    t_rows = np.repeat(times, clusters)
+    x_rows, v_rows = rows
     bad = ~(np.isfinite(x_rows) & np.isfinite(v_rows))
     bad[1:] |= (t_rows[1:] == t_rows[:-1]) & ~(x_rows[1:] > x_rows[:-1])
     if np.any(bad):
-        raise RecordIOError(f"snapshots.csv: snapshot at t={t_rows[np.argmax(bad)]}: positions "
+        raise RecordIOError(f"record.npz: snapshot at t={t_rows[np.argmax(bad)]}: positions "
                             "must be finite and strictly increasing, velocities finite")
 
     # replay the merge events: an event clears the cluster starts inside it
     opens = np.concatenate(([True], lineage0[1:] != lineage0[:-1]))
     cursor = 0
     snapshots = []
-    for t, rows in zip(times.tolist(), np.split(snap_table, bounds)):
-        while cursor < len(events) and np.count_nonzero(opens) > len(rows):
+    for t, count, (xs, vs) in zip(times.tolist(), clusters.tolist(),
+                                  np.split(rows, np.cumsum(clusters)[:-1], axis=1)):
+        while cursor < len(events) and np.count_nonzero(opens) > count:
             ev = events[cursor]
             if ev.time > t + 1e-9 * max(1.0, abs(t)):
                 break
             opens[ev.first_index + 1:ev.last_index + 1] = False
             cursor += 1
         starts = np.flatnonzero(opens)
-        if starts.size != len(rows):
-            raise RecordIOError(f"snapshot at t={t}: {len(rows)} rows but event replay "
-                                f"gives {starts.size} clusters")
-        snapshots.append(Ensemble._assemble(m, x, v, psi, starts, cluster_positions=rows[:, 1],
-                                            cluster_velocities=rows[:, 2]))
+        if starts.size != count:
+            raise RecordIOError(f"snapshot at t={t}: {count} clusters but event replay "
+                                f"gives {starts.size}")
+        snapshots.append(Ensemble._assemble(m, x, v, psi, starts, cluster_positions=xs,
+                                            cluster_velocities=vs))
     if cursor < len(events):
         raise RecordIOError(f"event at t={events[cursor].time} is not reflected in any "
                             "snapshot (event replay ended at the last snapshot)")
 
-    phi_integrals = None
-    v2_integrals = None
-    if (d / "accumulators.csv").exists():
-        table = _read_table(d / "accumulators.csv", _accumulator_fields(m.size))
-        if table.shape[0] != times.size or not np.array_equal(table[:, 0], times):
-            raise RecordIOError("accumulators.csv times do not match snapshots.csv")
-        v2_integrals = table[:, 1]
-        phi_integrals = table[:, 2:]
-
-    return SimulationRecord(kernel=kernel, initial=snapshots[0],
-                            times=times, snapshots=snapshots, events=events,
-                            phi_integrals=phi_integrals, v2_integrals=v2_integrals,
-                            stats=stats)
+    return SimulationRecord(kernel=kernel, initial=snapshots[0], times=times,
+                            snapshots=snapshots, events=events, phi_integrals=acc[:, 2:],
+                            v2_integrals=acc[:, 1], stats=stats)
 
 
 # -- flux analysis exports ----------------------------------------------

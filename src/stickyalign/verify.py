@@ -2,8 +2,8 @@
 structure into pass/fail diagnostics with residuals.
 
 Each checker is pure and deterministic and returns a :class:`CheckResult`
-(or raises on inputs it cannot assess, e.g. a record without accumulator
-integrals).  Residual conventions:
+(or raises on inputs it cannot assess, e.g. a flocking check on one
+subgroup).  Residual conventions:
 
 * inequality checks report the worst violation (positive = violated,
   negative = margin), so ``passed == residual <= tolerance``;
@@ -172,9 +172,6 @@ def check_projection_formula(record: SimulationRecord, t: float,
     left-endpoint quadrature of the interaction integral, so the default
     tolerance scales with the snapshot spacing.
     """
-    if record.phi_integrals is None:
-        raise InvalidScenarioError(
-            "record has no accumulator integrals; cannot check the projection formula")
     k = record.index_at(t)
     init = record.initial
     snap = record.snapshots[k]
@@ -227,9 +224,6 @@ def check_dissipation(record: SimulationRecord,
                       tolerance: float | None = None) -> CheckResult:
     """Energy balance: V(0) - V(t) equals the accumulated squared velocity
     norm, up to the first-order quadrature error of the accumulator."""
-    if record.v2_integrals is None:
-        raise InvalidScenarioError(
-            "record has no accumulator integrals; cannot check dissipation")
     if tolerance is None:
         dt = float(np.min(np.diff(record.times))) if record.times.size > 1 else 1.0
         scale = 1.0 + float(np.max(np.abs(record.initial.cell_psi)))
@@ -363,18 +357,14 @@ def verify_record(record: SimulationRecord) -> list[CheckResult]:
     returns one aggregated result per check.
 
     The event checks take the worst residual over all merge events, the
-    entropy check over all clusters of all snapshots, all on one flux.
-    Projection and dissipation are included only when the record carries
-    accumulator integrals (records loaded without ``accumulators.csv`` do not).
+    entropy check over all clusters of all snapshots, all on one flux, and
+    the projection formula is checked at the last snapshot time.
     """
     init = record.initial
     flux, *event_results = _event_checks(record.events, init.cell_psi, init.cell_masses)
-    out = [*event_results, _oleinik(flux, record.snapshots, default_tolerance(init.cell_psi)),
-           check_stickiness(record), check_conservation(record)]
-    if record.phi_integrals is not None:
-        out += [check_projection_formula(record, float(record.times[-1])),
-                check_dissipation(record)]
-    return out
+    return [*event_results, _oleinik(flux, record.snapshots, default_tolerance(init.cell_psi)),
+            check_stickiness(record), check_conservation(record),
+            check_projection_formula(record, float(record.times[-1])), check_dissipation(record)]
 
 
 def report_json(results) -> str:

@@ -16,7 +16,6 @@ from stickyalign import (
     PiecewiseLinear,
     PowerLaw,
     Zero,
-    natural_velocities,
 )
 
 MASS_DENOM_POW = 20
@@ -55,9 +54,17 @@ def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
     """Back out raw velocities so the natural velocities come out as ``psi``."""
     m = np.asarray(masses, dtype=float)
     x = np.asarray(positions, dtype=float)
-    conv = natural_velocities(m, x, np.zeros_like(m), kernel)
+    conv = kernel.convolve(x, x, m)
     return Ensemble.from_particles(m, x, np.asarray(psi, dtype=float) - conv,
                                    kernel, **kwargs)
+
+
+def rewrite_record(directory, drop=(), **arrays) -> None:
+    """Replace (or, with ``drop``, delete) members of a saved ``record.npz``."""
+    path = directory / "record.npz"
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files if name not in drop}
+    np.savez(path, **{**members, **arrays})
 
 
 def sweep_envelope(pl: PiecewiseLinear) -> PiecewiseLinear:

@@ -32,6 +32,8 @@ from stickyalign.cli import (
     run_simulate,
     run_verify,
 )
+from stickyalign.records import RECORD_FILES
+from tests.conftest import rewrite_record
 
 HEAD_ON = {
     "kernel": {"type": "zero"},
@@ -75,8 +77,7 @@ def test_simulate_happy_path(tmp_path):
     cfg = write_config(tmp_path, HEAD_ON)
     out = tmp_path / "run"
     assert run_simulate(cfg, out, quiet=True) == EXIT_OK
-    for name in ("snapshots.csv", "events.csv", "accumulators.csv", "metadata.json"):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(RECORD_FILES)
     rec = load_record(out)
     assert len(rec.events) == 1
     assert rec.events[0].time == pytest.approx(1.0, abs=1e-9)
@@ -123,8 +124,8 @@ def test_simulate_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, HEAD_ON)
     run_simulate(cfg, tmp_path / "a", quiet=True)
     run_simulate(cfg, tmp_path / "b", quiet=True)
-    for name in ("snapshots.csv", "events.csv", "accumulators.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    npz = lambda d: (tmp_path / d / "record.npz").read_bytes()
+    assert npz("a") == npz("b")
 
 
 def test_simulate_linear_sampler_defaults(tmp_path):
@@ -150,7 +151,7 @@ def test_simulate_gaussian_seed_override(tmp_path):
     assert run_simulate(cfg, tmp_path / "a", seed=7, quiet=True) == EXIT_OK
     assert run_simulate(cfg, tmp_path / "b", seed=7, quiet=True) == EXIT_OK
     assert run_simulate(cfg, tmp_path / "c", quiet=True) == EXIT_OK  # seed 1
-    snap = lambda d: (tmp_path / d / "snapshots.csv").read_bytes()
+    snap = lambda d: (tmp_path / d / "record.npz").read_bytes()
     assert snap("a") == snap("b")
     assert snap("a") != snap("c")
     # the echoed config must reproduce the run: the override is folded in
@@ -349,11 +350,10 @@ def test_verify_tampered_events_fails_checks(tmp_path):
     cfg = write_config(tmp_path, HEAD_ON)
     out = tmp_path / "run"
     run_simulate(cfg, out, quiet=True)
-    events = out / "events.csv"
-    head, row = events.read_text().splitlines()
-    cols = row.split(",")
-    cols[-1] = "5"  # post_psi far outside the admissible bounds
-    events.write_text(head + "\n" + ",".join(cols) + "\n")
+    with np.load(out / "record.npz") as npz:
+        events = npz["events"]
+    events[0, 2] = 5.0  # post_psi far outside the admissible bounds
+    rewrite_record(out, events=events)
     assert run_verify(out, quiet=True) == EXIT_CHECK_FAILURE
     report = {r["name"]: r["pass"] for r in
               json.loads((out / "verification.json").read_text())}
@@ -373,8 +373,7 @@ def test_verify_malformed_record(tmp_path):
     cfg = write_config(tmp_path, HEAD_ON)
     out = tmp_path / "run"
     run_simulate(cfg, out, quiet=True)
-    snaps = out / "snapshots.csv"
-    snaps.write_text(snaps.read_text().replace("t,position", "when,position"))
+    rewrite_record(out, drop=("snapshots",))
     assert run_verify(out, quiet=True) == EXIT_IO_ERROR
 
 

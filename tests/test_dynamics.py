@@ -20,13 +20,12 @@ from stickyalign import (
     Tolerances,
     Zero,
     cumulative_primitive,
-    drift,
     project_monotone,
     simulate,
-    step,
 )
 from stickyalign import dynamics
-from stickyalign.dynamics import _A, _E, _attempt, _cascade, _error_norm, _first_trigger, _hermite
+from stickyalign.dynamics import (_A, _E, _attempt, _cascade, _error_norm, _first_trigger,
+                                  _hermite, drift, step)
 from stickyalign.verify import verify_record
 from tests.conftest import dyadic_masses, random_scenario, sweep_envelope
 

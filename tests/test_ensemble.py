@@ -14,7 +14,6 @@ from stickyalign import (
     InvalidEnsembleError,
     QuantileFunction,
     Zero,
-    natural_velocities,
 )
 from stickyalign.ensemble import _block_sums
 from tests.conftest import KERNEL_POOL, dyadic_masses, random_scenario
@@ -26,30 +25,25 @@ def test_natural_velocities_all_to_all_closed_form(rng):
     m = dyadic_masses(rng, n)
     x = np.sort(rng.normal(size=n))
     v = rng.normal(size=n)
-    k = AllToAll(1.7)
-    psi = natural_velocities(m, x, v, k)
+    psi = Ensemble.from_particles(m, x, v, AllToAll(1.7)).cell_psi
     np.testing.assert_allclose(psi, v + 1.7 * (x - np.sum(m * x)), rtol=1e-13)
 
 
 def test_natural_velocities_zero_kernel_is_identity():
-    m = np.array([0.5, 0.5])
-    psi = natural_velocities(m, [-1.0, 1.0], [3.0, -2.0], Zero())
-    np.testing.assert_array_equal(psi, [3.0, -2.0])
+    ens = Ensemble.from_particles([0.5, 0.5], [-1.0, 1.0], [3.0, -2.0], Zero())
+    np.testing.assert_array_equal(ens.cell_psi, [3.0, -2.0])
 
 
 def test_natural_velocities_validation():
-    with pytest.raises(InvalidEnsembleError):
-        natural_velocities([0.5, 0.5], [0.0, -1.0], [0.0, 0.0], Zero())  # not sorted
-    with pytest.raises(InvalidEnsembleError):
-        natural_velocities([0.5, -0.5], [0.0, 1.0], [0.0, 0.0], Zero())
-    with pytest.raises(InvalidEnsembleError):
-        natural_velocities([0.5, 0.5], [0.0], [0.0, 0.0], Zero())
-    with pytest.raises(InvalidEnsembleError):
-        natural_velocities([0.5, 0.5], [0.0, 1.0], [0.0, np.nan], Zero())
-    # finite cells whose convolution overflows: refused as from_particles refuses them
-    for make in (natural_velocities, Ensemble.from_particles):
-        with pytest.raises(InvalidEnsembleError, match="natural velocities must be finite"):
-            make([0.5, 0.5], [-1e308, 1e308], [0.0, 0.0], AllToAll(10.0))
+    for bad in (([0.5, 0.5], [0.0, -1.0], [0.0, 0.0]),  # not sorted
+                ([0.5, -0.5], [0.0, 1.0], [0.0, 0.0]),
+                ([0.5, 0.5], [0.0], [0.0, 0.0]),
+                ([0.5, 0.5], [0.0, 1.0], [0.0, np.nan])):
+        with pytest.raises(InvalidEnsembleError):
+            Ensemble.from_particles(*bad, Zero())
+    # finite cells whose convolution overflows
+    with pytest.raises(InvalidEnsembleError, match="natural velocities must be finite"):
+        Ensemble.from_particles([0.5, 0.5], [-1e308, 1e308], [0.0, 0.0], AllToAll(10.0))
 
 
 class TestFromParticles:

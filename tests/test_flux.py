@@ -21,13 +21,18 @@ from stickyalign import (
     flocking_thresholds,
     lower_convex_envelope,
     predicted_partition,
-    separation_bound,
     simulate,
 )
 from stickyalign.flux import Region, Subgroup
 from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
 
 QUARTERS = [0.25, 0.25, 0.25, 0.25]
+
+
+def envelope_slopes_per_cell(an):
+    """A** slope over each cell (hull vertices are A nodes)."""
+    return np.repeat(an.A_star_star.slopes,
+                     np.diff(np.searchsorted(an.A.nodes, an.A_star_star.nodes)))
 
 
 def test_build_flux_nodes_and_values():
@@ -55,7 +60,7 @@ class TestHeadOnTent:
         an = self.analysis(Zero())
         np.testing.assert_allclose(an.A_star_star.nodes, [0.0, 1.0])
         np.testing.assert_allclose(an.A_star_star.values, [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(an.envelope_slopes_per_cell, [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(envelope_slopes_per_cell(an), [0.0, 0.0], atol=1e-14)
 
     def test_single_subgroup_finite_time(self):
         an = self.analysis(Zero())
@@ -115,7 +120,7 @@ def test_repeated_slope_makes_critical_run():
     assert sg1.forecast is Forecast.INFINITE_TIME_CLUSTER
     assert sg2.cells == (2, 3) and sg2.psi == pytest.approx(3.0)
     assert sg2.forecast is Forecast.NO_CLUSTER
-    np.testing.assert_allclose(an.envelope_slopes_per_cell, [1.0, 1.0, 3.0],
+    np.testing.assert_allclose(envelope_slopes_per_cell(an), [1.0, 1.0, 3.0],
                                atol=1e-13)
 
 
@@ -145,15 +150,6 @@ class TestMixedScenario:
         an, ens = self.analysis()
         assert predicted_partition(an, ens) == [(0, 3), (3, 4)]
 
-    def test_subgroup_at(self):
-        an, _ = self.analysis()
-        assert an.subgroup_at(0.0).cells == (0, 3)
-        assert an.subgroup_at(0.74).cells == (0, 3)
-        assert an.subgroup_at(0.75).cells == (3, 4)
-        assert an.subgroup_at(1.0).cells == (3, 4)
-        with pytest.raises(ValueError):
-            an.subgroup_at(1.5)
-
     def test_simulation_realizes_forecast(self):
         kernel = PowerLaw(1.0, 0.5, 1.0)
         ens = ensemble_with_psi(QUARTERS, [-0.6, -0.2, 0.2, 0.6],
@@ -161,22 +157,6 @@ class TestMixedScenario:
         an = analyze(ens, kernel)
         rec = simulate(ens, kernel, 10.0, 2.5)
         assert rec.partition_at(10.0) == predicted_partition(an, ens)
-
-
-def test_subgroup_at_right_end_of_rounded_mass():
-    # masses 1:4:1 normalize to cell masses whose running sum ends at
-    # 0.9999999999999999, so the mass coordinate 1.0 lies past the last node
-    kernel = AllToAll(1.0)
-    ens = Ensemble.from_particles([1.0, 4.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0],
-                                  kernel, normalize=True)
-    an = analyze(ens, kernel)
-    assert an.A.nodes[-1] < 1.0
-    assert an.subgroup_at(1.0) is an.subgroups[-1]
-    assert an.subgroup_at(float(an.A.nodes[-1])) is an.subgroups[-1]
-    with pytest.raises(ValueError):
-        an.subgroup_at(1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        an.subgroup_at(-1e-9)
 
 
 def test_initial_clusters_stay_bonded():
@@ -208,7 +188,7 @@ def test_envelope_slopes_match_isotonic(rng):
         ens, kernel = random_scenario(rng, 20)
         an = analyze(ens, kernel)
         iso = project_monotone(ens.cell_psi, weights=ens.cell_masses)
-        np.testing.assert_allclose(an.envelope_slopes_per_cell, iso,
+        np.testing.assert_allclose(envelope_slopes_per_cell(an), iso,
                                    rtol=1e-9, atol=1e-12)
 
 
@@ -357,42 +337,8 @@ def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode, eps_env):
     assert an.subgroups == subgroups
     assert (np.array([sg.psi for sg in an.subgroups]).tobytes()
             == np.array([sg.psi for sg in subgroups]).tobytes())
-    assert an.envelope_slopes_per_cell.tobytes() == slopes.tobytes()
+    assert envelope_slopes_per_cell(an).tobytes() == slopes.tobytes()
     assert predicted_partition(an, ens) == blocks
-    for sg in subgroups:
-        assert an.subgroup_at(sg.m_lo) == sg
-        assert an.subgroup_at(0.5 * (sg.m_lo + sg.m_hi)) == sg
-    assert an.subgroup_at(1.0) == an.subgroup_at(subgroups[-1].m_hi) == subgroups[-1]
-
-
-# -- separation bound ----------------------------------------------------
-
-
-def test_separation_bound_branches():
-    kernel = Exponential(1.0)
-    ens = ensemble_with_psi([0.5, 0.5], [-2.0, 2.0], [-1.0, 1.0], kernel)
-    an = analyze(ens, kernel)
-    q = ens.to_quantile()
-    # sigma = 1, eta = 2 Phi^{-1}(1/2) = 2 ln 2 < initial gap 4
-    assert separation_bound(an, q, 0.25, 0.75) == pytest.approx(2.0 * math.log(2.0))
-    near = ensemble_with_psi([0.5, 0.5], [-0.1, 0.1], [-1.0, 1.0], kernel)
-    assert separation_bound(analyze(near, kernel), near.to_quantile(),
-                            0.25, 0.75) == pytest.approx(0.2)
-
-
-def test_separation_bound_vanishing_kernel_keeps_initial_gap():
-    kernel = Zero()
-    ens = ensemble_with_psi([0.5, 0.5], [-1.5, 1.5], [-1.0, 1.0], kernel)
-    out = separation_bound(analyze(ens, kernel), ens.to_quantile(), 0.0, 1.0)
-    assert out == pytest.approx(3.0)
-
-
-def test_separation_bound_needs_distinct_subgroups():
-    kernel = Exponential(1.0)
-    ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0], kernel)
-    an = analyze(ens, kernel)  # one subgroup: slopes equal
-    with pytest.raises(ValueError, match="increasing"):
-        separation_bound(an, ens.to_quantile(), 0.25, 0.75)
 
 
 # -- flocking thresholds -------------------------------------------------

@@ -2,7 +2,9 @@
 
 The Wasserstein oracle is the transportation linear program solved by
 scipy's HiGHS backend; for p = inf with equal masses the oracle is the
-bottleneck assignment over all permutations.
+bottleneck assignment over all permutations.  The product metric D and the
+modulus bound of the paper's stability estimate are written here, as oracles
+of the distances they combine.
 """
 
 import itertools
@@ -20,8 +22,6 @@ from stickyalign import (
     QuantileFunction,
     Zero,
     energy,
-    metric_D,
-    modulus_bound,
     velocity_semidistance,
     wasserstein,
 )
@@ -56,6 +56,30 @@ def random_atoms(rng, max_atoms=4):
 
 def as_quantile(w, xs):
     return QuantileFunction(np.cumsum(w)[:-1], xs)
+
+
+def metric_D(q1, v1, q2, v2, p=2.0):
+    """Product metric (W_p^p + U_p^p)^(1/p); max of the two for p = inf."""
+    w = wasserstein(q1, q2, p)
+    u = velocity_semidistance(q1, v1, q2, v2, p)
+    if math.isinf(p):
+        return max(w, u)
+    return float((w ** p + u ** p) ** (1.0 / p))
+
+
+def modulus_bound(q1, q2, kernel):
+    """Uniform-continuity modulus of rho -> Phi * rho in W_2.
+
+    With r = W_2(rho_1, rho_2):
+
+        omega^2 = 8 Phi(max(1, r/2)) Phi(r/2) + (Phi(1) r)^2
+
+    and U_2 of the two convolution profiles is bounded by omega.
+    """
+    r = wasserstein(q1, q2, 2.0)
+    sq = 8.0 * kernel.big_phi(max(1.0, 0.5 * r)) * kernel.big_phi(0.5 * r) \
+        + (kernel.big_phi(1.0) * r) ** 2
+    return math.sqrt(sq)
 
 
 # -- Wasserstein ---------------------------------------------------------

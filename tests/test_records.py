@@ -2,6 +2,7 @@
 
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from stickyalign import (
     save_record,
     simulate,
 )
-from stickyalign.cli import EXIT_IO_ERROR, run_verify
+from stickyalign.cli import EXIT_CONFIG_ERROR, EXIT_IO_ERROR, run_verify
 from stickyalign.ensemble import MASS_BUDGET_TOL
+from stickyalign.records import RECORD_FILES
 from stickyalign.verify import verify_record
-from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
+from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario, rewrite_record
 
 
 @pytest.fixture
@@ -60,6 +62,7 @@ def _assert_same_record(back, rec):
 
 def test_round_trip_is_bit_exact(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RECORD_FILES)
     _assert_same_record(load_record(tmp_path), eventful_record)
 
 
@@ -68,7 +71,7 @@ def test_save_load_save_is_idempotent(eventful_record, tmp_path):
     d2 = tmp_path / "b"
     save_record(eventful_record, d1)
     save_record(load_record(d1), d2)
-    for name in ("snapshots.csv", "events.csv", "accumulators.csv"):
+    for name in RECORD_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
@@ -78,15 +81,8 @@ def test_extra_metadata_lands_in_manifest(eventful_record, tmp_path):
     assert meta["seed"] == 7
     assert meta["note"] == "x"
     assert meta["kernel"]["type"] == "power_law"
-    assert len(meta["cells"]["masses"]) == eventful_record.initial.n_cells
-
-
-def test_missing_accumulators_load_as_none(eventful_record, tmp_path):
-    save_record(eventful_record, tmp_path)
-    (tmp_path / "accumulators.csv").unlink()
-    back = load_record(tmp_path)
-    assert back.phi_integrals is None
-    assert back.v2_integrals is None
+    # every array lives in record.npz
+    assert set(meta) == {"format", "kernel", "stats", "seed", "note"}
 
 
 def test_random_scenarios_survive_round_trip(rng, tmp_path):
@@ -128,10 +124,19 @@ def test_stats_in_manifest(eventful_record, tmp_path):
 # -- malformed inputs ----------------------------------------------------
 
 
-def _tamper(path, old, new, count=1):
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new, count))
+def _arrays(directory):
+    with np.load(directory / "record.npz") as npz:
+        return dict(npz)
+
+
+def _refused(directory, capsys, match, where="record.npz"):
+    """load_record raises RecordIOError, and `stickyalign verify` exits 4
+    naming ``where`` without a traceback."""
+    with pytest.raises(RecordIOError, match=match):
+        load_record(directory)
+    assert run_verify(directory, quiet=True) == EXIT_IO_ERROR
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 def test_missing_manifest(eventful_record, tmp_path):
@@ -151,7 +156,7 @@ def test_malformed_manifest_json(eventful_record, tmp_path):
 def test_manifest_missing_key(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
     meta = json.loads((tmp_path / "metadata.json").read_text())
-    del meta["cells"]
+    del meta["kernel"]
     (tmp_path / "metadata.json").write_text(json.dumps(meta))
     with pytest.raises(RecordIOError):
         load_record(tmp_path)
@@ -166,6 +171,9 @@ def test_unknown_kernel_family(eventful_record, tmp_path):
         load_record(tmp_path)
 
 
+CELL_ROWS = {"masses": 0, "positions": 1, "velocities": 2, "psi": 3}
+
+
 @pytest.mark.parametrize("key, index, value", [
     ("masses", 1, 0.0), ("masses", 1, -0.25),
     ("masses", 0, np.inf), ("positions", 3, np.nan), ("velocities", 1, -np.inf),
@@ -175,114 +183,119 @@ def test_unknown_kernel_family(eventful_record, tmp_path):
         "decreasing-positions", "mass-total-1.25", "mass-total-just-off", "non-numeric"])
 def test_invalid_cells_refused(eventful_record, tmp_path, capsys, key, index, value):
     save_record(eventful_record, tmp_path)
-    meta = json.loads((tmp_path / "metadata.json").read_text())
-    meta["cells"][key][index] = value
-    (tmp_path / "metadata.json").write_text(json.dumps(meta))
-    with pytest.raises(RecordIOError, match="metadata.json"):
-        load_record(tmp_path)
-    assert run_verify(tmp_path, quiet=True) == EXIT_IO_ERROR
-    err = capsys.readouterr().err
-    assert "metadata.json" in err and "Traceback" not in err
+    cells = _arrays(tmp_path)["cells"]
+    if isinstance(value, str):
+        cells = cells.astype(str)
+    cells[CELL_ROWS[key], index] = value
+    rewrite_record(tmp_path, cells=cells)
+    _refused(tmp_path, capsys, "record.npz")
 
 
-def test_wrong_snapshot_header(eventful_record, tmp_path):
+def test_wrong_snapshot_header(eventful_record, tmp_path, capsys):
+    # the .npy header of a member declares its dtype and shape
     save_record(eventful_record, tmp_path)
-    _tamper(tmp_path / "snapshots.csv", "t,position", "time,position")
-    with pytest.raises(RecordIOError, match="expected columns"):
-        load_record(tmp_path)
+    rewrite_record(tmp_path, snapshots=_arrays(tmp_path)["snapshots"].T.ravel())
+    _refused(tmp_path, capsys, "snapshots must be a 2-D float64 array, got a 1-D float64")
 
 
 def test_dropped_event_row_breaks_replay(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    lines = (tmp_path / "events.csv").read_text().splitlines()
-    (tmp_path / "events.csv").write_text("\n".join(lines[:-1]) + "\n")
+    arrays = _arrays(tmp_path)
+    rewrite_record(tmp_path, events=arrays["events"][:-1], event_cells=arrays["event_cells"][:-1])
     with pytest.raises(RecordIOError, match="event replay"):
         load_record(tmp_path)
 
 
 def test_event_with_bad_cell_range(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    lines = (tmp_path / "events.csv").read_text().splitlines()
-    head, first = lines[0], lines[1].split(",")
-    first[1], first[2] = "3", "9"  # beyond the 4-cell grid
-    (tmp_path / "events.csv").write_text("\n".join([head, ",".join(first)] + lines[2:]) + "\n")
-    with pytest.raises(RecordIOError, match="bad cell range"):
+    event_cells = _arrays(tmp_path)["event_cells"]
+    event_cells[0] = (3, 9)  # beyond the 4-cell grid
+    rewrite_record(tmp_path, event_cells=event_cells)
+    with pytest.raises(RecordIOError, match=re.escape("bad cell range [3, 9]")):
         load_record(tmp_path)
 
 
 def test_non_integer_event_index(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    lines = (tmp_path / "events.csv").read_text().splitlines()
-    first = lines[1].split(",")
-    first[1] = str(int(first[1]) + 0.5)
-    (tmp_path / "events.csv").write_text("\n".join([lines[0], ",".join(first)] + lines[2:]) + "\n")
-    with pytest.raises(RecordIOError, match="bad cell range"):
+    event_cells = _arrays(tmp_path)["event_cells"] + 0.5
+    rewrite_record(tmp_path, event_cells=event_cells)
+    with pytest.raises(RecordIOError, match="event_cells must be a 2-D int64 array"):
         load_record(tmp_path)
 
 
 def test_ragged_snapshot_row(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    with open(tmp_path / "snapshots.csv", "a") as fh:
-        fh.write("4,1.0\n")
-    with pytest.raises(RecordIOError, match="malformed snapshots.csv"):
+    snapshots = _arrays(tmp_path)["snapshots"]
+    rewrite_record(tmp_path, snapshots=np.column_stack((snapshots, [4.0, 1.0])))
+    with pytest.raises(RecordIOError, match="shapes do not match"):
         load_record(tmp_path)
 
 
-def test_old_snapshot_layout_refused(eventful_record, tmp_path):
+def test_old_snapshot_layout_refused(eventful_record, tmp_path, capsys):
+    """A record directory of the earlier CSV layout has no record.npz."""
     save_record(eventful_record, tmp_path)
+    (tmp_path / "record.npz").unlink()
     (tmp_path / "snapshots.csv").write_text(
-        "t,cluster_id,mass,position,velocity,psi\n" + "".join(
-            f"{float(t)!r},{i},{m!r},{x!r},{v!r},{p!r}\n"
+        "t,position,velocity\n" + "".join(
+            f"{float(t)!r},{x!r},{v!r}\n"
             for t, s in zip(eventful_record.times, eventful_record.snapshots)
-            for i, (m, x, v, p) in enumerate(zip(s.masses, s.positions, s.velocities, s.psi))))
-    with pytest.raises(RecordIOError, match="snapshots.csv: expected columns t,position,velocity"):
+            for x, v in zip(s.positions, s.velocities)))
+    (tmp_path / "events.csv").write_text("t,first_index,last_index,post_velocity,post_psi\n")
+    with pytest.raises(RecordIOError, match="record.npz"):
         load_record(tmp_path)
+    assert run_verify(tmp_path, quiet=True) == EXIT_CONFIG_ERROR
+    assert "missing record.npz" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, column, value", [
-    (1, 1, "nan"), (1, 1, "5.0"), (1, 2, "inf"), (-1, 1, "nan"),
+    (0, 0, np.nan), (0, 0, 5.0), (0, 1, np.inf), (-1, 0, np.nan),
 ], ids=["nan-position", "unordered-position", "inf-velocity", "nan-in-last-row"])
 def test_corrupt_snapshot_rows_refused(eventful_record, tmp_path, capsys, line, column, value):
     save_record(eventful_record, tmp_path)
-    lines = (tmp_path / "snapshots.csv").read_text().splitlines()
-    row = lines[line].split(",")
-    row[column] = value
-    lines[line] = ",".join(row)
-    (tmp_path / "snapshots.csv").write_text("\n".join(lines) + "\n")
-    where = re.escape(f"snapshots.csv: snapshot at t={float(row[0])}")
-    with pytest.raises(RecordIOError, match=where):
-        load_record(tmp_path)
-    assert run_verify(tmp_path, quiet=True) == EXIT_IO_ERROR
-    assert "snapshots.csv" in capsys.readouterr().err
+    arrays = _arrays(tmp_path)
+    snapshots = arrays["snapshots"]
+    snapshots[column, line] = value
+    rewrite_record(tmp_path, snapshots=snapshots)
+    # the first bad row is the corrupted one, or its successor for an unordered position
+    bad = line % snapshots.shape[1] + (value == 5.0)
+    t = np.repeat(arrays["accumulators"][:, 0], arrays["clusters"])[bad]
+    _refused(tmp_path, capsys, re.escape(f"record.npz: snapshot at t={t}"))
 
 
 def test_empty_snapshot_table(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    (tmp_path / "snapshots.csv").write_text("t,position,velocity\n")
-    with pytest.raises(RecordIOError, match="no rows"):
+    n = eventful_record.initial.n_cells
+    rewrite_record(tmp_path, clusters=np.empty(0, np.int64), snapshots=np.empty((2, 0)),
+                   accumulators=np.empty((0, n + 2)))
+    with pytest.raises(RecordIOError, match="no snapshots"):
         load_record(tmp_path)
 
 
 def test_accumulator_time_mismatch(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    _tamper(tmp_path / "accumulators.csv", "\n1,", "\n1.5,", count=1)
-    with pytest.raises(RecordIOError):
+    acc = _arrays(tmp_path)["accumulators"]
+    rewrite_record(tmp_path, accumulators=acc[:-1])  # one snapshot time short
+    with pytest.raises(RecordIOError, match="shapes do not match"):
+        load_record(tmp_path)
+    acc[1, 0] = acc[0, 0]
+    rewrite_record(tmp_path, accumulators=acc)
+    with pytest.raises(RecordIOError, match="times must be strictly increasing"):
         load_record(tmp_path)
 
 
 def test_accumulators_one_row_per_time(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    lines = (tmp_path / "accumulators.csv").read_text().splitlines()
-    assert lines[0] == "t,v_norm2_integral,phi_0,phi_1,phi_2,phi_3"
-    assert len(lines) == 1 + eventful_record.times.size
+    acc = _arrays(tmp_path)["accumulators"]
+    assert acc.shape == (eventful_record.times.size, 2 + eventful_record.initial.n_cells)
+    _assert_same_bits(acc[:, 0], eventful_record.times)
 
 
 def test_old_accumulator_layout_refused(eventful_record, tmp_path):
+    # one row per time and cell: t, cell_id, phi_integral, v_norm2_integral
     save_record(eventful_record, tmp_path)
-    (tmp_path / "accumulators.csv").write_text(
-        "t,cell_id,phi_integral,v_norm2_integral\n" + "".join(
-            f"{float(t)!r},{i},0,0\n" for t in eventful_record.times for i in range(4)))
-    with pytest.raises(RecordIOError, match="accumulators.csv"):
+    rewrite_record(tmp_path, accumulators=np.array(
+        [(t, i, 0.0, 0.0) for t in eventful_record.times.tolist() for i in range(4)]))
+    with pytest.raises(RecordIOError, match="accumulators"):
         load_record(tmp_path)
 
 
@@ -292,10 +305,80 @@ def test_event_after_the_last_snapshot(tmp_path):
     rec = simulate(ens, kernel, 1.0, 0.5)
     assert rec.snapshots[-1].n_clusters == 2
     save_record(rec, tmp_path)
-    with open(tmp_path / "events.csv", "a") as fh:
-        fh.write("5.0,0,3,0.0,0.0\n")
+    arrays = _arrays(tmp_path)
+    rewrite_record(tmp_path, events=np.vstack((arrays["events"], [5.0, 0.0, 0.0])),
+                   event_cells=np.vstack((arrays["event_cells"], [0, 3])))
     with pytest.raises(RecordIOError, match=re.escape("t=5.0")):
         load_record(tmp_path)
+
+
+def test_truncated_record_file(eventful_record, tmp_path, capsys):
+    save_record(eventful_record, tmp_path)
+    data = (tmp_path / "record.npz").read_bytes()
+    for size in (0, 1, 100, len(data) // 2, len(data) - 1):
+        (tmp_path / "record.npz").write_bytes(data[:size])
+        _refused(tmp_path, capsys, "record.npz")
+
+
+def test_foreign_record_file(eventful_record, tmp_path, capsys):
+    save_record(eventful_record, tmp_path)
+    path = tmp_path / "record.npz"
+    path.write_text("t,position,velocity\n0,1,2\n")
+    _refused(tmp_path, capsys, "record.npz")
+    with open(path, "wb") as fh:  # one bare array, not an archive
+        np.save(fh, np.arange(3.0))
+    _refused(tmp_path, capsys, "record.npz")
+    with zipfile.ZipFile(path, "w") as zf:  # an archive without the members
+        zf.writestr("notes.txt", "no arrays here")
+    _refused(tmp_path, capsys, "cells")
+
+
+@pytest.mark.parametrize("where, mask", [
+    (lambda data: data.index(b"\x93NUMPY") + 60, 0x41),  # member bytes: the CRC fails
+    (lambda data: data.index(b"PK\x01\x02") + 8, 0x01),  # directory flags: encrypted
+    (lambda data: data.index(b"PK\x01\x02") + 10, 0x41),  # directory: compression method
+], ids=["member-data", "encrypted-flag", "compression-method"])
+def test_flipped_record_byte_refused(eventful_record, tmp_path, capsys, where, mask):
+    save_record(eventful_record, tmp_path)
+    data = bytearray((tmp_path / "record.npz").read_bytes())
+    data[where(data)] ^= mask
+    (tmp_path / "record.npz").write_bytes(data)
+    _refused(tmp_path, capsys, "record.npz")
+
+
+@pytest.mark.parametrize("member", ["cells", "lineage", "clusters", "snapshots",
+                                    "accumulators", "events", "event_cells"])
+def test_missing_member_refused(eventful_record, tmp_path, capsys, member):
+    save_record(eventful_record, tmp_path)
+    rewrite_record(tmp_path, drop=(member,))
+    _refused(tmp_path, capsys, member)
+
+
+@pytest.mark.parametrize("member, change", [
+    ("lineage", lambda a: a.astype(float)),
+    ("clusters", lambda a: a.astype(np.int32)),
+    ("cells", lambda a: a.ravel()),
+    ("accumulators", lambda a: a[None]),
+    ("events", lambda a: a.astype(np.float32)),
+], ids=["float-lineage", "int32-clusters", "flat-cells", "3-D-accumulators", "float32-events"])
+def test_wrong_dtype_or_ndim_refused(eventful_record, tmp_path, capsys, member, change):
+    save_record(eventful_record, tmp_path)
+    rewrite_record(tmp_path, **{member: change(_arrays(tmp_path)[member])})
+    _refused(tmp_path, capsys, f"{member} must be a")
+
+
+@pytest.mark.parametrize("member, change", [
+    ("lineage", lambda a: a[:-1]),
+    ("cells", lambda a: a[:3]),
+    ("accumulators", lambda a: a[:, :-1]),
+    ("event_cells", lambda a: a[:-1]),
+    ("clusters", lambda a: np.concatenate(([a[0] + a[-1]], a[1:-1], [0]))),
+], ids=["short-lineage", "three-cell-rows", "missing-phi-column", "short-event-cells",
+        "empty-snapshot"])
+def test_mismatched_lengths_refused(eventful_record, tmp_path, capsys, member, change):
+    save_record(eventful_record, tmp_path)
+    rewrite_record(tmp_path, **{member: change(_arrays(tmp_path)[member])})
+    _refused(tmp_path, capsys, "shapes do not match")
 
 
 # -- flux analysis export ------------------------------------------------

@@ -219,12 +219,6 @@ class TestProjectionFormula:
         assert not check_projection_formula(rec, 4.0).passed
         assert check_projection_formula(rec, 4.0).residual == pytest.approx(1e3, rel=1e-2)
 
-    def test_requires_accumulators(self, mixed_record):
-        rec = fabricated(mixed_record.kernel, mixed_record.snapshots,
-                         mixed_record.times, mixed_record.events)
-        with pytest.raises(InvalidScenarioError, match="accumulator"):
-            check_projection_formula(rec, 4.0)
-
 
 class TestStickiness:
     def test_real_record_passes(self, mixed_record):
@@ -306,12 +300,6 @@ class TestDissipation:
                          phi=mixed_record.phi_integrals,
                          v2=mixed_record.v2_integrals + 1e3)
         assert not check_dissipation(rec).passed
-
-    def test_requires_accumulators(self, mixed_record):
-        rec = fabricated(mixed_record.kernel, mixed_record.snapshots,
-                         mixed_record.times, mixed_record.events)
-        with pytest.raises(InvalidScenarioError, match="accumulator"):
-            check_dissipation(rec)
 
 
 # -- flocking ------------------------------------------------------------
@@ -487,14 +475,6 @@ def test_verify_record_aggregates_the_per_event_and_per_snapshot_checks(mixed_re
             residuals = [check(ev, init.cell_psi, init.cell_masses).residual for ev in rec.events]
             assert by_name[name].residual == max(residuals)
     assert by_name["oleinik_entropy"].residual < 0.0
-
-
-def test_verify_record_without_accumulators(mixed_record):
-    rec = fabricated(mixed_record.kernel, mixed_record.snapshots,
-                     mixed_record.times, mixed_record.events)
-    names = [r.name for r in verify_record(rec)]
-    assert "projection_formula" not in names
-    assert "dissipation" not in names
 
 
 def test_verify_record_catches_tampered_event(mixed_record):
