@@ -29,6 +29,11 @@ time to the nearest contact of a closing pair; a capped step that the error
 control accepts at its first trial hands the size it was offered before the
 cap (the previous step's suggestion) to the next step, whose error control
 tests it, so the step size does not regrow from the cap after every event.
+The pair is FSAL (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): a step
+that starts where one ended without a merge takes that step's last stage as
+its first, so ``stats["rhs_evals"]`` counts six evaluations per trial, one
+per step that starts fresh (the first, and each one after a merge) and one
+per event localization.
 The merge rule at one instant is the tangent-cone projection of velocities:
 one call of ``project_monotone`` whose ``joins`` are the pairs in contact,
 so the mass-weighted isotonic fit pools only within each maximal run of
@@ -69,7 +74,6 @@ EPS_CONTACT = 1e-13
 TAU_EVENT = 1e-12
 
 # Dormand-Prince 5(4) tableau
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _A = (
     (),
     (1.0 / 5.0,),
@@ -79,10 +83,10 @@ _A = (
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
-_B = _A[6] + (0.0,)
 # b - b_hat: weights of the embedded error estimate
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+_ROWS = [np.array(row) for row in _A[1:] + (_E,)]
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,9 @@ class MergeEvent:
 class StepResult:
     """One accepted step.  ``rejected`` counts the trials the error control
     refused first, ``capped`` says whether the time to the nearest contact
-    shortened the first trial, and ``rhs_evals`` counts right-hand sides."""
+    shortened the first trial, and ``rhs_evals`` counts the right-hand sides
+    evaluated: six per trial, one for the first stage unless it was handed
+    in, and one to localize an event."""
 
     ensemble: Ensemble
     events: tuple[MergeEvent, ...]
@@ -146,15 +152,16 @@ def _make_rhs(masses: np.ndarray, psi: np.ndarray, kernel: Kernel):
 
 def _attempt(x0, k1, h, rhs):
     """One Dormand-Prince trial step; returns (x1, k7, error_estimate)."""
-    k = [k1]
-    for row in _A[1:] + (_E,):  # the last row of _A gives x1 and k7, _E the error
-        acc = np.zeros_like(k1)  # each row sums in place from zero, in tableau order
-        for a, kj in zip(row, k):
-            acc += a * kj
-        if row is not _E:
+    k = np.empty((7, k1.size))
+    k[0] = k1
+    # the last row of _A gives x1 and k7, _E the error; an axis-0 sum adds the
+    # stage rows one by one in tableau order, from zero
+    for j, row in enumerate(_ROWS, 1):
+        acc = (row[:, None] * k[:j]).sum(axis=0)
+        if j < 7:
             x1 = x0 + h * acc
-            k.append(rhs(x1))
-    return x1, k[-1], h * acc
+            k[j] = rhs(x1)
+    return x1, k[6], h * acc
 
 
 def _error_norm(err, x0, x1, tol: Tolerances) -> float:
@@ -196,50 +203,61 @@ def _first_trigger(x0, v0, x1, v1, h, eps, s_tol):
     a kissing-but-separating pair cannot stall the integration.
 
     Each gap follows the Hermite cubic H(s) = a s^3 + b s^2 + c s + d, with
-    H(0) = d above its threshold.  Its candidates are the interior critical
-    points and s = 1; between consecutive candidates H is monotone, so the
-    first candidate at or below the threshold ends the bracket of the gap's
-    first crossing.  A bracket that opens at or after the smallest bracket end
-    cannot hold the earliest crossing; only the others are bisected.
+    H(0) = d above its threshold.  H on [0, 1] lies above its lowest Bernstein
+    control point, so only the gaps where that point comes within rounding
+    slack of the threshold are examined further.  Their candidates are the
+    interior critical points and s = 1; between consecutive candidates H is
+    monotone, so the first candidate at or below the threshold ends the
+    bracket of the gap's first crossing.  A bracket that opens at or after
+    the smallest bracket end cannot hold the earliest crossing; only the
+    others are bisected.
     """
-    d = np.diff(x0)
-    g1 = np.diff(x1)
-    dg0 = np.diff(v0)
-    dg1 = np.diff(v1)
+    d = x0[1:] - x0[:-1]
+    g1 = x1[1:] - x1[:-1]
+    dg0 = v0[1:] - v0[:-1]
+    dg1 = v1[1:] - v1[:-1]
     # power-basis coefficients of the Hermite cubic per gap
     a = 2.0 * d + h * dg0 - 2.0 * g1 + h * dg1
     b = -3.0 * d - 2.0 * h * dg0 + 3.0 * g1 - h * dg1
     c = h * dg0
     thr = np.where(d > eps, eps, 0.0)
-    # critical points: the stable roots of H' = qa s^2 + qb s + c, or the root
-    # of its linear form where qa == 0; a root that is missing (disc < 0,
-    # division by zero) or outside (0, 1) becomes the endpoint s = 1
-    qa, qb = 3.0 * a, 2.0 * b
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * c), qb))
-        roots = np.where(qa != 0.0, [q / qa, c / q], -c / qb)
-    roots = np.where((0.0 < roots) & (roots < 1.0), roots, 1.0)
-    nodes = np.vstack([np.zeros_like(d), np.sort(roots, axis=0), np.ones_like(d)])
-    s = nodes[1:]
-    below = ((a * s + b) * s + c) * s + d <= thr
+    # control points d, d + c/3, d + (2c + b)/3 and a + b + c + d: each, and
+    # H at any s in [0, 1], rounds within a few ulp of |a| + |b| + |c| + |d|;
     # gaps at/below their floor already (separating contacts) never trigger
-    gaps = np.flatnonzero((d > thr) & below.any(axis=0))
+    low = np.minimum(np.minimum(d, d + c / 3.0), np.minimum(d + (c + c + b) / 3.0, a + b + c + d))
+    slack = 1e-14 * (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d))
+    gaps = np.flatnonzero((d > thr) & (low <= thr + slack))
     if gaps.size == 0:
         return None
-    k = np.argmax(below[:, gaps], axis=0)
-    lo, hi = nodes[k, gaps], nodes[k + 1, gaps]
-    keep = lo < hi.min()
-    cubics = np.stack([a, b, c, d, thr])[:, gaps[keep]].T.tolist()
+    brackets = []
+    for cubic in zip(*(v[gaps].tolist() for v in (a, b, c, d, thr))):
+        ai, bi, ci, di, ti = cubic
+        # critical points: the stable roots of H' = qa s^2 + qb s + c, or the
+        # root of its linear form where qa == 0; a root that is missing (disc <
+        # 0, division by zero) or outside (0, 1) becomes the endpoint s = 1
+        qa, qb = 3.0 * ai, 2.0 * bi
+        roots = [math.nan, math.nan]
+        if qa != 0.0:
+            disc = qb * qb - 4.0 * qa * ci
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb)) if disc >= 0.0 else math.nan
+            roots = [q / qa, ci / q if q != 0.0 else math.nan]
+        elif qb != 0.0:
+            roots = [-ci / qb] * 2
+        nodes = [0.0, *sorted(r if 0.0 < r < 1.0 else 1.0 for r in roots), 1.0]
+        brackets += [(lo, hi, cubic) for lo, hi in zip(nodes, nodes[1:])
+                     if ((ai * hi + bi) * hi + ci) * hi + di <= ti][:1]
+    hi_min = min((hi for _, hi, _ in brackets), default=None)
     crossings = []
-    for (ai, bi, ci, di, ti), lo_i, hi_i in zip(cubics, lo[keep].tolist(), hi[keep].tolist()):
-        while hi_i - lo_i > s_tol:
-            mid = 0.5 * (lo_i + hi_i)
-            if ((ai * mid + bi) * mid + ci) * mid + di <= ti:
-                hi_i = mid
-            else:
-                lo_i = mid
-        crossings.append(hi_i)
-    return min(crossings)
+    for lo, hi, (ai, bi, ci, di, ti) in brackets:
+        if lo < hi_min:
+            while hi - lo > s_tol:
+                mid = 0.5 * (lo + hi)
+                if ((ai * mid + bi) * mid + ci) * mid + di <= ti:
+                    hi = mid
+                else:
+                    lo = mid
+            crossings.append(hi)
+    return min(crossings, default=None)
 
 
 def _runs(pairs: np.ndarray) -> list[tuple[int, int]]:
@@ -293,19 +311,22 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
 
 def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
          tolerances: Tolerances | None = None, *,
-         t: float = 0.0, dt_hint: float | None = None) -> StepResult:
+         t: float = 0.0, dt_hint: float | None = None, _k1=None) -> StepResult:
     """Advance by one accepted step, stopping early at the first contact.
 
     Returns the post-step (or post-merge) ensemble, any merge events with
     absolute times (``t`` is the time of the input state), the time actually
-    advanced, and a step-size suggestion for the next call.
+    advanced, and a step-size suggestion for the next call.  ``_k1``, when
+    given, must be the right-hand side at ``ensemble.positions`` (the last
+    stage of the step that ended there); it is then not evaluated again.
     """
     if dt_max <= 0.0:
         raise InvalidScenarioError(f"dt_max must be positive, got {dt_max}")
     tol = tolerances or Tolerances()
     x0 = ensemble.positions
     rhs = _make_rhs(ensemble.masses, ensemble.psi, kernel)
-    k1 = rhs(x0)
+    fresh = _k1 is None
+    k1 = rhs(x0) if fresh else _k1
     h = min(dt_hint, dt_max) if dt_hint else _initial_dt(x0, k1, tol, dt_max)
     h_hinted = h
     # Never let one step fully traverse a closing gap: beyond the contact the
@@ -313,8 +334,8 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
     # the crossing entirely.  Capping at the time-to-contact of the fastest
     # closing pair keeps every crossing visible to the Hermite interpolant.
     eps = EPS_CONTACT * max(1.0, float(np.max(np.abs(x0))))
-    gaps0 = np.diff(x0)
-    rates0 = -np.diff(k1)  # positive where the pair is closing
+    gaps0 = x0[1:] - x0[:-1]
+    rates0 = k1[:-1] - k1[1:]  # positive where the pair is closing
     closing = (rates0 > 0.0) & (gaps0 > eps)
     if np.any(closing):
         h_contact = float(np.min(gaps0[closing] / rates0[closing]))
@@ -342,15 +363,16 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
 
     s_tol = TAU_EVENT * max(1.0, abs(t) + h) / h
     s_star = _first_trigger(x0, k1, x1, k7, h, eps, s_tol)
+    rhs_evals = 6 * (1 + rejected) + fresh
     if s_star is None:
         return StepResult(ensemble.evolved(x1, k7), (), h, dt_next,
-                          rejected, capped, 7 + 6 * rejected)
+                          rejected, capped, rhs_evals)
 
     x_ev = _hermite(s_star, x0, k1, x1, k7, h)
     v_ev = rhs(x_ev)
     post, events = _cascade(ensemble.evolved(x_ev, v_ev), t + s_star * h, eps)
     return StepResult(post, tuple(events), s_star * h, dt_next,
-                      rejected, capped, 8 + 6 * rejected)
+                      rejected, capped, rhs_evals + 1)
 
 
 @dataclass
@@ -453,6 +475,7 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
     stats = dict.fromkeys(("accepted", "rejected", "rhs_evals", "capped", "events"), 0)
     t = 0.0
     dt_hint: float | None = None
+    k1 = None  # the right-hand side at state.positions, once known
     for target in nodes[1:]:
         while True:
             remaining = target - t
@@ -460,7 +483,7 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
                 t = target
                 break
             try:
-                res = step(state, kernel, remaining, tol, t=t, dt_hint=dt_hint)
+                res = step(state, kernel, remaining, tol, t=t, dt_hint=dt_hint, _k1=k1)
             except NumericalAbortError as exc:
                 exc.stats = {**stats, "t": t}
                 raise
@@ -475,6 +498,8 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
                 state_mark = res.ensemble
                 events.extend(res.events)
             state = res.ensemble
+            # without a merge the velocities are rhs(positions), the next k1
+            k1 = None if res.events else state.velocities
             dt_hint = res.dt_next
             t = t_new
         accumulate_to(target)

@@ -99,7 +99,7 @@ def _exp_sides(at, x, m):
 
 def _maybe_scalar(x, out):
     """Return ``out`` as a python float when the input was scalar."""
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
+    if np.ndim(x) == 0:
         return float(out)
     return out
 
@@ -303,11 +303,20 @@ class PowerLaw(Kernel):
         return _maybe_scalar(r, core * tail)
 
     def big_phi(self, x):
+        # sign(x) (head + tail) in two buffers, each ufunc rounding as in the
+        # out-of-place expression; for a 0-d input ``head`` is a numpy scalar,
+        # whose ``**`` rounds as libm pow does, not as the array loop
         xa = np.asarray(x, dtype=float)
-        ax = np.abs(xa)
-        head = (self.c / (1.0 - self.beta)) * np.minimum(ax, self.R) ** (1.0 - self.beta)
-        tail = (self.c * self.R ** (-self.beta)) * (-np.expm1(-np.maximum(ax - self.R, 0.0)))
-        return _maybe_scalar(x, np.sign(xa) * (head + tail))
+        ax = np.abs(xa, out=np.empty(xa.shape))
+        head = np.minimum(ax, self.R)
+        head **= 1.0 - self.beta
+        head *= self.c / (1.0 - self.beta)
+        ax -= self.R
+        np.expm1(np.negative(np.maximum(ax, 0.0, out=ax), out=ax), out=ax)
+        ax *= self.c * self.R ** (-self.beta)
+        head -= ax
+        head *= np.sign(xa, out=ax)  # not copysign: Phi(-0.0) is +0.0
+        return _maybe_scalar(x, head)
 
     def w_phi(self, x):
         ax = np.abs(np.asarray(x, dtype=float))

@@ -1,4 +1,5 @@
-"""Shared scenario generators, and the hull sweep the envelope is tested against.
+"""Shared scenario generators, and the oracles that fast paths are tested against:
+the hull sweep for the envelope and the unfiltered vector contact trigger.
 
 Masses are built as dyadic rationals (integer / 2**20) summing to exactly one:
 every partial sum and every pooled cluster mass is then exactly representable,
@@ -89,6 +90,49 @@ def sweep_envelope(pl: PiecewiseLinear) -> PiecewiseLinear:
         hx.append(x)
         hy.append(y)
     return PiecewiseLinear(np.array(hx), np.array(hy))
+
+
+def first_trigger_unfiltered(x0, v0, x1, v1, h, eps, s_tol):
+    """Earliest contact trigger of ``dynamics._first_trigger``, computed for
+    every gap at once: the Hermite cubic of each gap is evaluated at all its
+    candidates (interior critical points and s = 1) with no prefilter, and
+    the brackets that open before the smallest bracket end are bisected.
+    This is the oracle for the control-point prefilter of the library's
+    version, which must return the same value bit for bit.
+    """
+    d = np.diff(x0)
+    g1 = np.diff(x1)
+    dg0 = np.diff(v0)
+    dg1 = np.diff(v1)
+    a = 2.0 * d + h * dg0 - 2.0 * g1 + h * dg1
+    b = -3.0 * d - 2.0 * h * dg0 + 3.0 * g1 - h * dg1
+    c = h * dg0
+    thr = np.where(d > eps, eps, 0.0)
+    qa, qb = 3.0 * a, 2.0 * b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * c), qb))
+        roots = np.where(qa != 0.0, [q / qa, c / q], -c / qb)
+    roots = np.where((0.0 < roots) & (roots < 1.0), roots, 1.0)
+    nodes = np.vstack([np.zeros_like(d), np.sort(roots, axis=0), np.ones_like(d)])
+    s = nodes[1:]
+    below = ((a * s + b) * s + c) * s + d <= thr
+    gaps = np.flatnonzero((d > thr) & below.any(axis=0))
+    if gaps.size == 0:
+        return None
+    k = np.argmax(below[:, gaps], axis=0)
+    lo, hi = nodes[k, gaps], nodes[k + 1, gaps]
+    keep = lo < hi.min()
+    cubics = np.stack([a, b, c, d, thr])[:, gaps[keep]].T.tolist()
+    crossings = []
+    for (ai, bi, ci, di, ti), lo_i, hi_i in zip(cubics, lo[keep].tolist(), hi[keep].tolist()):
+        while hi_i - lo_i > s_tol:
+            mid = 0.5 * (lo_i + hi_i)
+            if ((ai * mid + bi) * mid + ci) * mid + di <= ti:
+                hi_i = mid
+            else:
+                lo_i = mid
+        crossings.append(hi_i)
+    return min(crossings)
 
 
 @pytest.fixture

@@ -24,10 +24,11 @@ from stickyalign import (
     simulate,
 )
 from stickyalign import dynamics
-from stickyalign.dynamics import (_A, _E, _attempt, _cascade, _error_norm, _first_trigger,
-                                  _hermite, drift, step)
+from stickyalign.dynamics import (_A, _E, _ROWS, _attempt, _cascade, _error_norm,
+                                  _first_trigger, _hermite, drift, step)
 from stickyalign.verify import verify_record
-from tests.conftest import dyadic_masses, random_scenario, sweep_envelope
+from tests.conftest import (dyadic_masses, first_trigger_unfiltered, random_scenario,
+                            sweep_envelope)
 
 
 def two_body(m1, x1, v1, m2, x2, v2, kernel):
@@ -317,6 +318,115 @@ def test_first_trigger_finds_a_dip_between_grid_points():
     s = _first_trigger(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL)
     assert s == pytest.approx(crossing, abs=1e-9)
     assert c - 3.2e-5 < s < c
+
+
+def grazing_gap(rng, thr, h, top):
+    """(d, g1, v0 gap, v1 gap) of a Hermite cubic whose lowest point grazes
+    ``thr``: either its lowest Bernstein control point, or an interior local
+    minimum, lies within a few ulp of the threshold (above or below).  The
+    cubic rises at most about ``2 top`` above it."""
+    scale = top * 10.0 ** rng.uniform(-6.0, 0.0)
+    graze = thr + int(rng.integers(-6, 7)) * np.spacing(max(thr, scale, 1e-300))
+    if rng.random() < 0.5:  # the k-th control point at the threshold
+        p = graze + scale * rng.uniform(0.0, 2.0, size=4)
+        p[rng.integers(4)] = graze
+        d, g1, d_slope, g_slope = p[0], p[3], 3.0 * (p[1] - p[0]), 3.0 * (p[3] - p[2])
+    else:  # H(s) = graze + alpha (s - s0)^2 + beta (s - s0)^3
+        u0 = -rng.uniform(0.05, 0.95)  # s - s0 at s = 0; 1 + u0 at s = 1
+        u1 = 1.0 + u0
+        alpha, beta = scale, scale * rng.uniform(-0.5, 0.5)
+        d, g1 = (graze + alpha * u * u + beta * u ** 3 for u in (u0, u1))
+        d_slope, g_slope = (2.0 * alpha * u + 3.0 * beta * u * u for u in (u0, u1))
+    return d, g1, d_slope / h, g_slope / h
+
+
+def trigger_inputs(rng, grazing):
+    """(x0, v0, x1, v1, h) of up to six gaps; zero-position cells between
+    them keep every gap exact and add only negative (inactive) gaps."""
+    h = 10.0 ** rng.uniform(-3.0, 1.0)
+    rows = []
+    for _ in range(int(rng.integers(1, 7))):
+        live = rng.random() < 0.8
+        if grazing:  # a contact-zone gap (thr = 0) starts inside (0, eps]
+            rows.append(grazing_gap(rng, TRIG_EPS, h, 1.0) if live
+                        else grazing_gap(rng, 0.0, h, 0.5 * TRIG_EPS))
+        else:
+            d = rng.uniform(2.0 * TRIG_EPS, 2.0) if live else rng.uniform(0.0, TRIG_EPS)
+            rows.append((d, d + rng.normal(scale=0.5), rng.normal(), rng.normal()))
+    gaps = np.array(rows)
+    cells = lambda col: np.column_stack([np.zeros(len(rows)), col]).ravel()
+    return cells(gaps[:, 0]), cells(gaps[:, 2]), cells(gaps[:, 1]), cells(gaps[:, 3]), h
+
+
+@pytest.mark.parametrize("grazing", [False, True])
+def test_first_trigger_matches_the_unfiltered_oracle(grazing):
+    """The control-point prefilter drops only gaps that cannot trigger: on
+    random and on grazing cubics the result equals the unfiltered vector
+    form's bit for bit (or both are None)."""
+    rng = np.random.default_rng([17, grazing])
+    found = 0
+    for _ in range(3000):
+        x0, v0, x1, v1, h = trigger_inputs(rng, grazing)
+        want = first_trigger_unfiltered(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL)
+        assert _first_trigger(x0, v0, x1, v1, h, TRIG_EPS, TRIG_S_TOL) == want
+        found += want is not None
+    assert 300 < found < 2700  # both outcomes are well represented
+
+
+def test_stage_rows_sum_like_the_sequential_loop():
+    """An axis-0 sum of the weighted stage rows adds them one by one in
+    tableau order, starting from +0.0, as an in-place loop from zero does:
+    equal bit for bit, signed zeros included, where a different order (the
+    reversed loop) does not round the same."""
+    rng = np.random.default_rng(23)
+    reordered = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        k = rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(7, 1))
+        k[rng.random(k.shape) < 0.1] = 0.0
+        k[rng.random(k.shape) < 0.1] = -0.0
+        for row in _ROWS:
+            terms = row[:, None] * k[:row.size]
+            want = np.zeros(n)
+            for term in terms:
+                want += term
+            backward = np.zeros(n)
+            for term in terms[::-1]:
+                backward += term
+            assert terms.sum(axis=0).tobytes() == want.tobytes()
+            reordered += backward.tobytes() != want.tobytes()
+    assert reordered > 0
+
+
+def test_fsal_hands_on_rhs_at_the_step_start(monkeypatch):
+    """Each k1 that ``_integrate`` hands to ``step`` is the right-hand side at
+    the step's start bit for bit; a run that recomputes every k1 gives the
+    same record with one more evaluation per hand-on."""
+    kernel = PowerLaw(c=1.0, beta=0.5, R=1.0)
+    rng = np.random.default_rng(5)
+    ens = Ensemble.from_particles(dyadic_masses(rng, 30), np.sort(rng.normal(size=30)),
+                                  rng.normal(size=30), kernel)
+    inner, make_rhs = dynamics.step, dynamics._make_rhs
+    handed = []
+
+    def handing_on(ensemble, kern, *args, _k1=None, **kwargs):
+        if _k1 is not None:
+            rhs = make_rhs(ensemble.masses, ensemble.psi, kern)
+            handed.append(_k1.tobytes() == rhs(ensemble.positions).tobytes())
+        return inner(ensemble, kern, *args, _k1=_k1, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", handing_on)
+    rec = simulate(ens, kernel, 4.0, 0.25)
+    monkeypatch.setattr(dynamics, "step", lambda *args, _k1=None, **kwargs: inner(*args, **kwargs))
+    fresh = simulate(ens, kernel, 4.0, 0.25)
+    assert len(rec.events) > 5 and rec.stats["accepted"] > len(handed) > 0 and all(handed)
+    assert fresh.stats == dict(rec.stats, rhs_evals=rec.stats["rhs_evals"] + len(handed))
+    assert fresh.events == rec.events
+    for a, b in zip(fresh.snapshots, rec.snapshots):
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.velocities.tobytes() == b.velocities.tobytes()
+    assert fresh.phi_integrals.tobytes() == rec.phi_integrals.tobytes()
+    assert fresh.v2_integrals.tobytes() == rec.v2_integrals.tobytes()
 
 
 def test_attempt_sums_stages_like_the_builtin_sum():

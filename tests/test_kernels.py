@@ -69,6 +69,39 @@ def test_power_law_frozen_values():
     assert k.big_phi_sup == pytest.approx(3.0, abs=1e-15)  # 2 + 1
 
 
+def power_law_big_phi_out_of_place(k: PowerLaw, x):
+    """PowerLaw's Phi as one out-of-place expression: the oracle for the
+    buffered evaluation in ``PowerLaw.big_phi``."""
+    xa = np.asarray(x, dtype=float)
+    ax = np.abs(xa)
+    head = (k.c / (1.0 - k.beta)) * np.minimum(ax, k.R) ** (1.0 - k.beta)
+    tail = (k.c * k.R ** (-k.beta)) * (-np.expm1(-np.maximum(ax - k.R, 0.0)))
+    out = np.sign(xa) * (head + tail)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+@pytest.mark.parametrize("kernel", [k for k in ALL_KERNELS if isinstance(k, PowerLaw)]
+                         + [PowerLaw(3.0, 0.01, 0.05), PowerLaw(0.2, 0.99, 40.0)], ids=repr)
+def test_power_law_big_phi_matches_the_out_of_place_expression(kernel):
+    """Bit for bit, with the same type and shape, on arrays (contiguous or
+    not), 0-d arrays and Python scalars, at +-0, +-R, just off R, tiny and
+    huge |x|, and on spreads over many decades (numpy scalar ``**`` rounds as
+    libm pow, the array loop need not)."""
+    rng = np.random.default_rng(3)
+    R = kernel.R
+    special = np.array([0.0, -0.0, R, -R, np.nextafter(R, 0.0), np.nextafter(R, 5.0), 5e-324,
+                        -1e-300, 1e-12, 1e300, -np.inf, np.inf])
+    spread = rng.normal(size=(40, 25)) * 10.0 ** rng.uniform(-12.0, 6.0, size=(40, 25))
+    x = np.sort(rng.normal(size=30))
+    inputs = [special, spread, spread.T, spread[::3, 1::2], x[:, None] - x[None, :]]
+    inputs += [np.array(v) for v in special] + [float(v) for v in special]
+    inputs += [float(v) for v in spread.ravel()[:200]] + [2, -3]
+    for inp in inputs:
+        got, want = kernel.big_phi(inp), power_law_big_phi_out_of_place(kernel, inp)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_exponential_frozen_values():
     k = Exponential(1.0)
     assert k.big_phi(1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
