@@ -182,7 +182,7 @@ def _build_ensemble(cfg: dict, kernel: Kernel, seed: int | None, quiet: bool,
         if not isinstance(sampler, dict):
             raise ConfigError("'sampler' must be an object")
         n = n_override if n_override is not None else sampler.get("N")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ConfigError("sampler needs a positive integer 'N'")
         m, x, v = _sampler_particles(sampler, n, seed)
     total = float(np.sum(m))
@@ -338,7 +338,7 @@ def run_converge(config_path, out_dir, seed: int | None = None,
         tolerances = _parse_tolerances(cfg)
         ns = cfg.get("ns")
         if (not isinstance(ns, list) or not ns
-                or any(not isinstance(n, int) or n < 1 for n in ns)):
+                or any(type(n) is not int or n < 1 for n in ns)):
             raise ConfigError("'ns' must be a nonempty list of positive integers")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("'ns' must be strictly increasing (no duplicates)")

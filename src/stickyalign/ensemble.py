@@ -269,11 +269,6 @@ class QuantileFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def cell_widths(self) -> np.ndarray:
-        edges = np.concatenate(([0.0], self.breakpoints, [1.0]))
-        return np.diff(edges)
-
     def __call__(self, m):
         idx = np.searchsorted(self.breakpoints, m, side="right")
         return self.values[idx]

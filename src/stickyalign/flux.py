@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .exceptions import KernelRangeError
+from .exceptions import InvalidScenarioError, KernelRangeError
 from .kernels import Kernel
 from .monotone import PiecewiseLinear, cumulative_primitive, lower_convex_envelope
 
@@ -124,15 +124,16 @@ _LABELS = tuple(RegionLabel)  # the label and forecast codes below index these
 _FORECASTS = tuple(Forecast)
 
 
-def analyze(ensemble: Ensemble, kernel: Kernel, eps_env: float | None = None) -> FluxAnalysis:
+def analyze(ensemble: Ensemble, kernel: Kernel) -> FluxAnalysis:
     """Run the whole static pipeline on the initial data.
 
-    A cell is Supercritical iff the gap A - A** exceeds ``eps_env`` at either
-    of its end nodes (the gap is linear within a cell, so that is equivalent
-    to exceeding it somewhere inside).  Otherwise the cell agrees with the
-    envelope; it is Critical when its hull segment spans more than one cell
-    (a linear piece of A** wider than the cell) and Subcritical when the cell
-    is a hull segment of its own (slope strictly increases at both ends).
+    A cell is Supercritical iff the gap A - A** exceeds
+    ``1e-12 * (1 + max |A|)`` at either of its end nodes (the gap is linear
+    within a cell, so that is equivalent to exceeding it somewhere inside).
+    Otherwise the cell agrees with the envelope; it is Critical when its hull
+    segment spans more than one cell (a linear piece of A** wider than the
+    cell) and Subcritical when the cell is a hull segment of its own (slope
+    strictly increases at both ends).
 
     The subgroups are exactly the hull segments, the flat runs of the
     isotonic fit of the cell psi.  A one-cell subgroup does not
@@ -143,8 +144,7 @@ def analyze(ensemble: Ensemble, kernel: Kernel, eps_env: float | None = None) ->
     """
     A = build_flux(ensemble)
     hull = lower_convex_envelope(ensemble.cell_psi, ensemble.cell_masses)
-    if eps_env is None:
-        eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
+    eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
     edges = np.searchsorted(A.nodes, hull.nodes)
     widths = np.diff(edges)
 
@@ -209,6 +209,8 @@ def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> Floc
     the bounded regime: outer-edge distance eventually below
     Phi^{-1}(gap / mass span) and limiting distance at least
     2 Phi^{-1}(gap / 2); each None when the argument leaves Phi's range.
+    Raises :class:`InvalidScenarioError` when the velocity gap is not
+    positive, as between subgroups that rounding split at tied psi.
     """
     if not 0 <= first < second < len(analysis.subgroups):
         raise ValueError("need two distinct subgroup indices in order")
@@ -216,7 +218,7 @@ def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> Floc
     sg2 = analysis.subgroups[second]
     gap = sg2.psi - sg1.psi
     if gap <= 0.0:
-        raise ValueError("subgroup velocities must increase with index")
+        raise InvalidScenarioError("subgroup velocities must increase with index")
     kernel = analysis.kernel
     l1 = kernel.phi_l1_norm
     if gap > l1:

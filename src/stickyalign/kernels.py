@@ -143,11 +143,6 @@ class Kernel:
         return 2.0 * self.big_phi_sup
 
     @property
-    def is_fat_tailed(self) -> bool:
-        """True when Phi is unbounded (phi not integrable at infinity)."""
-        return math.isinf(self.big_phi_sup)
-
-    @property
     def vanishes(self) -> bool:
         """True when phi is identically zero (no interaction at all)."""
         return self.big_phi_sup == 0.0

@@ -224,6 +224,7 @@ def _gaussian(**params):
     lambda c: dict(c, tolerances={"atol": -1e-10}),
     lambda c: dict(c, tolerances={"rtol": -1e-9}),
     lambda c: dict(c, tolerances={"atol": 1e400}),
+    _gaussian(N=True),  # a JSON bool is not a size
 ])
 def test_simulate_config_errors(tmp_path, mangle, capsys):
     cfg = write_config(tmp_path, mangle(dict(HEAD_ON)))
@@ -350,6 +351,26 @@ def test_verify_includes_flocking_when_subgroups_split(tmp_path):
     assert "flocking" not in names2
 
 
+def test_verify_skips_flocking_on_tied_psi_subgroups(tmp_path, capsys):
+    """Equal psi that the envelope splits into two subgroups with no velocity
+    gap: flocking is skipped with a warning, the other checks pass."""
+    cfg = write_config(tmp_path, {
+        "kernel": {"type": "zero"},
+        "particles": {"masses": [0.37431423815606246, 0.13710433608658726,
+                                 0.2970871678292365, 0.19149425792811386],
+                      "positions": [-0.9322203053719521, 0.16115931384552032,
+                                    0.4930281494994427, 1.317326007386082],
+                      "velocities": [0.3, 0.3, 0.3, 0.3]},
+        "t_end": 1.0, "snapshot_dt": 0.5,
+    })
+    out = tmp_path / "run"
+    assert run_simulate(cfg, out, quiet=True) == EXIT_OK
+    assert run_verify(out) == EXIT_OK
+    assert "flocking check skipped: subgroup velocities must increase" in capsys.readouterr().err
+    names = [r["name"] for r in json.loads((out / "verification.json").read_text())]
+    assert "flocking" not in names and len(names) == 7
+
+
 def test_verify_tampered_events_fails_checks(tmp_path):
     cfg = write_config(tmp_path, HEAD_ON)
     out = tmp_path / "run"
@@ -418,7 +439,7 @@ def test_converge_single_resolution(tmp_path):
     assert lines[1:] == ["16,,,,"]
 
 
-@pytest.mark.parametrize("ns", [[8, 8, 16], [16, 8], [], [4, "x"]])
+@pytest.mark.parametrize("ns", [[8, 8, 16], [16, 8], [], [4, "x"], [True, 2]])
 def test_converge_bad_ladders(tmp_path, ns):
     cfg = write_config(tmp_path, dict(LINEAR_CONVERGE, ns=ns))
     assert run_converge(cfg, tmp_path / "study", quiet=True) == EXIT_CONFIG_ERROR

@@ -252,7 +252,6 @@ def test_to_quantile_step_semantics():
     assert q(0.49) == 0.0
     assert q(0.5) == 2.0
     assert q(0.99) == 2.0
-    np.testing.assert_allclose(q.cell_widths, [0.25, 0.25, 0.5])
 
 
 def test_quantile_validation():

@@ -203,13 +203,6 @@ def test_analysis_uses_cells_not_clusters(rng):
     np.testing.assert_array_equal(A0.values, A2.values)
 
 
-def test_eps_env_override():
-    kernel = Zero()
-    ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0], kernel)
-    an = analyze(ens, kernel, eps_env=10.0)  # swallow the whole tent
-    assert RegionLabel.SUPERCRITICAL not in an.cell_labels
-
-
 def test_constant_psi_is_one_critical_subgroup():
     """A straight flux is its own envelope: psi == 0.7 on every cell is one
     Critical subgroup and one cluster, whatever the rounding of the cell
@@ -264,13 +257,12 @@ def _oracle_forecast(cells, labels, kernel):
     return Forecast.INFINITE_TIME_CLUSTER
 
 
-def _oracle(ens, kernel, eps_env):
+def _oracle(ens, kernel):
     """Labels, regions, subgroups, per-cell envelope slopes and predicted
     partition, one cell, hull segment or bond at a time."""
     A = build_flux(ens)
     hull = lower_convex_envelope(ens.cell_psi, ens.cell_masses)
-    if eps_env is None:
-        eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
+    eps_env = 1e-12 * (1.0 + float(np.max(np.abs(A.values))))
     labels, slopes = _oracle_labels(A, hull, eps_env)
     regions = []
     start = 0
@@ -311,18 +303,16 @@ _cells = st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4), st.integers(-
 
 
 @given(kernel=st.sampled_from(KERNEL_POOL), cells=_cells,
-       psi_mode=st.sampled_from(["given", "increasing", "raw"]),
-       eps_env=st.sampled_from([None, None, None, 0.3]))
-@example(kernel=Zero(), cells=[(1, 0, 0)], psi_mode="given", eps_env=None)  # N = 1
+       psi_mode=st.sampled_from(["given", "increasing", "raw"]))
+@example(kernel=Zero(), cells=[(1, 0, 0)], psi_mode="given")  # N = 1
 @example(kernel=PowerLaw(1.0, 0.5, 1.0), cells=[(1, 0, 2), (2, 0, -1), (1, 1, 0)],
-         psi_mode="given", eps_env=None)  # coincident positions
+         psi_mode="given")  # coincident positions
 @example(kernel=AllToAll(0.8), cells=[(1, -1, 1), (2, 0, 1), (1, 1, 1), (3, 2, 2)],
-         psi_mode="given", eps_env=None)  # repeated psi: a critical run
+         psi_mode="given")  # repeated psi: a critical run
 @example(kernel=Exponential(0.9), cells=[(1, -1, 3), (1, 0, 1), (2, 1, 0)],
-         psi_mode="increasing", eps_env=None)
-@example(kernel=Zero(), cells=[(1, -1, 1), (1, 1, -1)], psi_mode="given", eps_env=10.0)
+         psi_mode="increasing")
 @settings(max_examples=300, deadline=None)
-def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode, eps_env):
+def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode):
     m, x, p = (np.array(c, dtype=float) for c in zip(*cells))
     x = np.sort(x) / 2.0
     if psi_mode == "raw":  # p as raw velocities, psi through the kernel
@@ -330,8 +320,8 @@ def test_analysis_matches_per_cell_loops(kernel, cells, psi_mode, eps_env):
     else:
         psi = np.cumsum(np.abs(p) + 1.0) - 5.0 if psi_mode == "increasing" else p
         ens = Ensemble.from_particles(m, x, psi, Zero(), normalize=True)  # psi = v
-    labels, regions, subgroups, slopes, blocks = _oracle(ens, kernel, eps_env)
-    an = analyze(ens, kernel, eps_env)
+    labels, regions, subgroups, slopes, blocks = _oracle(ens, kernel)
+    an = analyze(ens, kernel)
     assert an.cell_labels == labels
     assert an.regions == regions
     assert an.subgroups == subgroups

@@ -121,7 +121,7 @@ def test_all_to_all_is_linear():
 def test_zero_kernel_everything_vanishes():
     k = Zero()
     assert k.phi(0.3) == 0.0 and k.big_phi(5.0) == 0.0 and k.w_phi(2.0) == 0.0
-    assert k.vanishes and not k.is_fat_tailed
+    assert k.vanishes
     assert k.inv_big_phi(0.0) == 0.0
     with pytest.raises(KernelRangeError):
         k.inv_big_phi(0.1)

@@ -22,6 +22,7 @@ from stickyalign import (
     flocking_thresholds,
     simulate,
 )
+from stickyalign import verify
 from stickyalign.flux import Regime
 from stickyalign.verify import (
     _chord,
@@ -61,65 +62,70 @@ def fabricated(kernel, snapshots, times, events=(), phi=None, v2=None):
                             phi_integrals=phi, v2_integrals=v2)
 
 
+def merged(psi, masses, *merges):
+    """One snapshot of unit-spaced cells with natural velocities ``psi`` under
+    the Zero kernel, and one merge event per ``(first, last, post_psi)``."""
+    kernel = Zero()
+    ens = ensemble_with_psi(masses, np.arange(len(psi), dtype=float), psi, kernel)
+    events = [MergeEvent(time=0.0, first_index=a, last_index=b, post_velocity=0.0,
+                         post_psi=s) for a, b, s in merges]
+    return fabricated(kernel, [ens], [0.0], events)
+
+
 # -- merge-event checks --------------------------------------------------
 
 
 class TestBarycentric:
     def test_symmetric_pair_has_unit_margin(self):
-        ev = MergeEvent(time=1.0, first_index=0, last_index=1,
-                        post_velocity=0.0, post_psi=0.0)
-        res = check_barycentric(ev, [1.0, -1.0], [0.5, 0.5])
+        res = check_barycentric(merged([1.0, -1.0], [0.5, 0.5], (0, 1, 0.0)))
         assert res.passed
         assert res.residual == pytest.approx(-1.0)
 
     def test_out_of_bounds_post_psi_fails(self):
-        ev = MergeEvent(time=1.0, first_index=0, last_index=1,
-                        post_velocity=0.0, post_psi=1.5)
-        res = check_barycentric(ev, [1.0, -1.0], [0.5, 0.5])
+        res = check_barycentric(merged([1.0, -1.0], [0.5, 0.5], (0, 1, 1.5)))
         assert not res.passed
         assert res.residual == pytest.approx(0.5)
 
     def test_triple_split_bounds(self):
-        psi = [3.0, 1.0, 2.0]
-        good = MergeEvent(time=0.0, first_index=0, last_index=2,
-                          post_velocity=0.0, post_psi=2.0)
-        assert check_barycentric(good, psi, [1 / 3] * 3).passed
-        bad = MergeEvent(time=0.0, first_index=0, last_index=2,
-                         post_velocity=0.0, post_psi=2.5)
-        res = check_barycentric(bad, psi, [1 / 3] * 3)
+        psi, m = [3.0, 1.0, 2.0], [1 / 3] * 3
+        assert check_barycentric(merged(psi, m, (0, 2, 2.0))).passed
+        res = check_barycentric(merged(psi, m, (0, 2, 2.5)))
         assert not res.passed and res.residual == pytest.approx(0.5)
+        # the worst merge decides: a good merge beside it does not hide it
+        both = check_barycentric(merged(psi, m, (0, 2, 2.0), (0, 2, 2.5)))
+        assert both.residual == res.residual
 
     def test_real_events_pass(self, mixed_record):
-        init = mixed_record.initial
-        for ev in mixed_record.events:
-            assert check_barycentric(ev, init.cell_psi, init.cell_masses).passed
+        res = check_barycentric(mixed_record)
+        assert res.passed and res.residual < 0.0
+
+    def test_no_events_vacuous(self):
+        res = check_barycentric(merged([1.0, -1.0], [0.5, 0.5]))
+        assert res.passed and res.residual == 0.0
 
     def test_bad_range_rejected(self):
-        ev = MergeEvent(time=0.0, first_index=2, last_index=9,
-                        post_velocity=0.0, post_psi=0.0)
-        with pytest.raises(InvalidScenarioError):
-            check_barycentric(ev, [1.0, -1.0], [0.5, 0.5])
+        for first, last in ((2, 9), (-1, 1), (1, 1)):
+            with pytest.raises(InvalidScenarioError, match="incompatible with 2 cells"):
+                check_barycentric(merged([1.0, -1.0], [0.5, 0.5], (first, last, 0.0)))
 
 
 class TestRankineHugoniot:
     def test_pooled_mean_passes(self):
-        ev = MergeEvent(time=0.0, first_index=0, last_index=1,
-                        post_velocity=0.0, post_psi=13 / 3)
-        res = check_rankine_hugoniot(ev, [3.0, 5.0], [1 / 3, 2 / 3])
+        res = check_rankine_hugoniot(merged([3.0, 5.0], [1 / 3, 2 / 3], (0, 1, 13 / 3)))
         assert res.passed
         assert res.residual < 1e-15
 
     def test_tampered_post_psi_fails(self):
-        ev = MergeEvent(time=0.0, first_index=0, last_index=1,
-                        post_velocity=0.0, post_psi=4.0)
-        res = check_rankine_hugoniot(ev, [3.0, 5.0], [1 / 3, 2 / 3])
+        res = check_rankine_hugoniot(merged([3.0, 5.0], [1 / 3, 2 / 3], (0, 1, 4.0)))
         assert not res.passed
         assert res.residual == pytest.approx(1 / 3)
 
     def test_real_events_pass(self, mixed_record):
-        init = mixed_record.initial
-        for ev in mixed_record.events:
-            assert check_rankine_hugoniot(ev, init.cell_psi, init.cell_masses).passed
+        assert check_rankine_hugoniot(mixed_record).passed
+
+    def test_bad_range_rejected(self):
+        with pytest.raises(InvalidScenarioError):
+            check_rankine_hugoniot(merged([1.0, -1.0], [0.5, 0.5], (0, 2, 0.0)))
 
 
 # -- the chord test against the per-check formulas it replaced ----------
@@ -171,12 +177,11 @@ def test_chord_excess_matches_the_per_check_formulas(cells, singletons):
             continue  # a single cell has no interior node
         worst = float(np.max(got[end - (b - a - 1):end]))
         assert abs(worst - _prefix_suffix_worst(psi[a:b], m[a:b], s)) <= tol
-        event = MergeEvent(time=0.0, first_index=int(a), last_index=int(b - 1),
-                           post_velocity=0.0, post_psi=float(s))
-        assert check_barycentric(event, psi, m).residual == worst
+        rec = merged(psi, m, (int(a), int(b - 1), float(s)))
+        assert check_barycentric(rec).residual == worst
         mean = np.sum(m[a:b] * psi[a:b]) / np.sum(m[a:b])
         assert abs(float(_chord(flux, a, b)) - mean) <= tol
-        assert check_rankine_hugoniot(event, psi, m).residual == abs(s - _chord(flux, a, b))
+        assert check_rankine_hugoniot(rec).residual == abs(s - _chord(flux, a, b))
 
 
 # -- snapshot checks -----------------------------------------------------
@@ -184,14 +189,13 @@ def test_chord_excess_matches_the_per_check_formulas(cells, singletons):
 
 class TestOleinik:
     def test_real_record_passes(self, mixed_record):
-        for t in mixed_record.times:
-            assert check_oleinik_entropy(mixed_record, float(t)).passed
+        assert check_oleinik_entropy(mixed_record).passed
 
     def test_singletons_vacuous(self):
         kernel = Zero()
         ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [-1.0, 1.0], kernel)
         rec = fabricated(kernel, [ens], [0.0])
-        res = check_oleinik_entropy(rec, 0.0)
+        res = check_oleinik_entropy(rec)
         assert res.passed and res.residual == 0.0
 
     def test_wrongly_merged_increasing_psi_fails(self):
@@ -199,14 +203,17 @@ class TestOleinik:
         kernel = Zero()
         ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [1.0, 2.0], kernel)
         rec = fabricated(kernel, [ens.merged([(0, 2)])], [0.0])
-        res = check_oleinik_entropy(rec, 0.0)
+        res = check_oleinik_entropy(rec)
         assert not res.passed
         assert res.residual == pytest.approx(0.5)
+        # one bad snapshot fails the record, wherever it sits
+        rec = fabricated(kernel, [ens, ens.merged([(0, 2)]), ens], [0.0, 1.0, 2.0])
+        assert check_oleinik_entropy(rec).residual == res.residual
 
 
 class TestProjectionFormula:
     def test_real_record_passes(self, mixed_record):
-        res = check_projection_formula(mixed_record, 4.0)
+        res = check_projection_formula(mixed_record)
         assert res.passed
 
     def test_corrupted_integral_fails(self, mixed_record):
@@ -216,8 +223,9 @@ class TestProjectionFormula:
                          mixed_record.times, mixed_record.events,
                          phi=mixed_record.phi_integrals + 1e3,
                          v2=mixed_record.v2_integrals)
-        assert not check_projection_formula(rec, 4.0).passed
-        assert check_projection_formula(rec, 4.0).residual == pytest.approx(1e3, rel=1e-2)
+        res = check_projection_formula(rec)
+        assert not res.passed
+        assert res.residual == pytest.approx(1e3, rel=1e-2)
 
 
 class TestStickiness:
@@ -468,13 +476,30 @@ def test_verify_record_aggregates_the_per_event_and_per_snapshot_checks(mixed_re
         per_snapshot = [np.max(_cluster_loop_excess(flux, s.bounds, s.psi), initial=0.0
                                if s.n_clusters == s.n_cells else -np.inf)
                         for s in rec.snapshots]
+        ranges = [(ev.first_index, ev.last_index + 1, ev.post_psi) for ev in rec.events]
+        per_event = [np.max(_cluster_loop_excess(flux, [a, b], [s])) for a, b, s in ranges]
+        jumps = [abs(s - _chord(flux, a, b)) for a, b, s in ranges]
         by_name = {r.name: r for r in verify_record(rec)}
         assert by_name["oleinik_entropy"].residual == max(per_snapshot)
-        for name, check in (("barycentric", check_barycentric),
-                            ("rankine_hugoniot", check_rankine_hugoniot)):
-            residuals = [check(ev, init.cell_psi, init.cell_masses).residual for ev in rec.events]
-            assert by_name[name].residual == max(residuals)
+        assert by_name["barycentric"].residual == max(per_event)
+        assert by_name["rankine_hugoniot"].residual == max(jumps)
     assert by_name["oleinik_entropy"].residual < 0.0
+
+
+def test_verify_record_looks_the_checks_up_by_name(mixed_record, monkeypatch):
+    """A wrapper installed on the module (as a tracer installs one) is called."""
+    calls = []
+    for name in ("check_barycentric", "check_projection_formula"):
+        original = getattr(verify, name)
+
+        def spy(record, original=original):
+            calls.append(original.__name__)
+            return original(record)
+
+        monkeypatch.setattr(verify, name, spy)
+    results = verify_record(mixed_record)
+    assert calls == ["check_barycentric", "check_projection_formula"]
+    assert (results[0].name, results[5].name) == ("barycentric", "projection_formula")
 
 
 def test_verify_record_catches_tampered_event(mixed_record):
