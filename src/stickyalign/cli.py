@@ -216,14 +216,12 @@ def _config_echo(cfg: dict, seed: int | None) -> dict:
 
 
 def _metadata(cfg: dict, seed: int | None, wall_time: float) -> dict:
-    import scipy
     return {
         "config": _config_echo(cfg, seed),
         "seed": seed if seed is not None else cfg.get("sampler", {}).get("seed"),
         "versions": {
             "stickyalign": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_s": wall_time,

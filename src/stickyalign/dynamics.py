@@ -42,9 +42,10 @@ contact pairs, which conserves momentum.
 On both paths a pair is in contact once its gap reaches the floor
 ``EPS_CONTACT * max(1, max|x|)``, and the integrals kept for later
 verification (the per-cell convolution integral of the projection formula,
-and the dissipation integral of the squared velocity norm) are accumulated
-with a left-endpoint rule on the grid of snapshot nodes and event times,
-giving clean first-order convergence as ``snapshot_dt`` shrinks.
+up to the last snapshot, and the dissipation integral of the squared velocity
+norm, up to every snapshot) are accumulated with a left-endpoint rule on the
+grid of snapshot nodes and event times, giving clean first-order convergence
+as ``snapshot_dt`` shrinks.
 """
 
 from __future__ import annotations
@@ -105,12 +106,10 @@ class Tolerances:
 class MergeEvent:
     """One inelastic merge: a contiguous cell range became one cluster.
 
-    ``first_index``/``last_index`` are inclusive *original cell* indices.
-    ``pre_velocities``/``pre_masses`` list the participating clusters just
-    before the merge, so ``post_velocity`` is their mass-weighted mean and
-    ``post_psi`` the mass-weighted mean of the constituent cell psi.  Events
-    loaded from disk carry ``pre_velocities=None``: cluster velocities at the
-    event instant are not serialized and cannot be reconstructed.
+    ``first_index``/``last_index`` are inclusive *original cell* indices;
+    ``post_velocity`` is the merged cluster's velocity and ``post_psi`` the
+    mass-weighted mean of its cell psi.  These five fields are all that
+    ``record.npz`` stores, so a loaded event equals the simulated one.
     """
 
     time: float
@@ -118,8 +117,6 @@ class MergeEvent:
     last_index: int
     post_velocity: float
     post_psi: float
-    pre_velocities: tuple[float, ...] | None = None
-    pre_masses: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -301,11 +298,9 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
     lasts = ens.bounds[stops] - 1
     events = [MergeEvent(time=t_ev, first_index=first, last_index=last,
                          post_velocity=float(post.velocities[k]),
-                         post_psi=float(post.psi[k]),
-                         pre_velocities=tuple(ens.velocities[a:b].tolist()),
-                         pre_masses=tuple(m[a:b].tolist()))
-              for (a, b), first, last, k in zip(blocks, firsts.tolist(), lasts.tolist(),
-                                                post.starts.searchsorted(firsts).tolist())]
+                         post_psi=float(post.psi[k]))
+              for first, last, k in zip(firsts.tolist(), lasts.tolist(),
+                                        post.starts.searchsorted(firsts).tolist())]
     return post, events
 
 
@@ -379,9 +374,10 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
 class SimulationRecord:
     """Snapshots, merge events, and verification integrals of one run.
 
-    ``phi_integrals[k, i]`` is the per-cell integral of (Phi * rho_s) along
-    the cell's cluster trajectory up to ``times[k]``; ``v2_integrals[k]`` the
-    integral of the mass-weighted squared velocity norm.  ``stats`` holds the
+    ``phi_integrals[i]`` is the integral of (Phi * rho_s) along cell i's
+    cluster trajectory up to the last snapshot time, the term of the
+    projection formula; ``v2_integrals[k]`` is the integral of the
+    mass-weighted squared velocity norm up to ``times[k]``.  ``stats`` holds the
     solver's counts of merge events, accepted steps, rejected trials,
     right-hand-side evaluations and contact-capped steps, which
     ``metadata.json`` keeps; the closed-form path takes no steps.
@@ -404,10 +400,6 @@ class SimulationRecord:
 
     def snapshot_at(self, t: float) -> Ensemble:
         return self.snapshots[self.index_at(t)]
-
-    def partition_at(self, t: float) -> list[tuple[int, int]]:
-        """Half-open cell ranges of the clusters at snapshot time t."""
-        return self.snapshots[self.index_at(t)].cluster_cell_ranges()
 
 
 def _snapshot_nodes(t_end: float, snapshot_dt: float) -> list[float]:
@@ -450,14 +442,12 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
     nodes = _snapshot_nodes(t_end, snapshot_dt)
 
     state = ensemble
-    n_cells = state.n_cells
     times = [0.0]
     snaps = [state]
     events: list[MergeEvent] = []
-    phi_rows = [np.zeros(n_cells)]
     v2_vals = [0.0]
 
-    acc_phi = np.zeros(n_cells)
+    acc_phi = np.zeros(state.n_cells)
     acc_v2 = 0.0
     t_mark = 0.0
     state_mark = state  # state at the last accumulation node (left endpoint)
@@ -506,10 +496,9 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
         state_mark = state
         times.append(target)
         snaps.append(state)
-        phi_rows.append(acc_phi.copy())
         v2_vals.append(acc_v2)
 
     return SimulationRecord(kernel=kernel, initial=ensemble,
                             times=np.array(times), snapshots=snaps, events=events,
-                            phi_integrals=np.vstack(phi_rows),
+                            phi_integrals=acc_phi,
                             v2_integrals=np.array(v2_vals), stats=stats)

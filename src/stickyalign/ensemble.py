@@ -167,11 +167,6 @@ class Ensemble:
         """Cell index -> cluster index (read-only, derived from ``starts``)."""
         return _frozen(np.repeat(np.arange(self.n_clusters), np.diff(self.bounds)), np.intp)
 
-    def cluster_cell_ranges(self) -> list[tuple[int, int]]:
-        """Half-open cell index range of each cluster, in order."""
-        b = self.bounds.tolist()
-        return list(zip(b[:-1], b[1:]))
-
     def validate(self) -> None:
         """Re-check all structural invariants; raise on violation."""
         _checked_cells(self.cell_masses, self.cell_positions, self.cell_velocities)

@@ -25,13 +25,15 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
     A heap holds the contact time of every adjacent pair, keyed by the pair's
     left cluster and tagged with a version that a merge on either side bumps,
     so stale entries are skipped.  A contact time is computed in absolute time
-    from the pooled reference values and clamped to the current time.  A pair
-    that a merge leaves within twice the contact floor, and not separating,
-    merges at the same instant and is folded with that merge into one
-    :class:`MergeEvent`, as ``_cascade`` folds a contact run.  Snapshot nodes
-    re-pool their clusters from the initial ones with ``_block_sums``.
+    from the pooled reference values and clamped to the current time; contacts
+    after the last snapshot node are not merged, as the stepper stops there.
+    A pair that a merge leaves within twice the contact floor, and not
+    separating, merges at the same instant and is folded with that merge into
+    one :class:`MergeEvent`, as ``_cascade`` folds a contact run.  Snapshot
+    nodes re-pool their clusters from the initial ones with ``_block_sums``.
     """
     nodes = _snapshot_nodes(t_end, snapshot_dt)
+    t_last = nodes[-1]
     m0 = ensemble.masses
     total = float(np.sum(m0))
     k = kernel.K * total if isinstance(kernel, AllToAll) else 0.0
@@ -80,7 +82,7 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
             if d <= 0.0:
                 return
             t_c = max(t, math.log1p(k * (g - eps) / d) / k if k else (g - eps) / d)
-        if t_c <= t_end:
+        if t_c <= t_last:
             heapq.heappush(heap, (t_c, c, version[c]))
 
     # left-endpoint accumulators: the phi integral of a cluster is
@@ -108,17 +110,10 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
         nonlocal w2
         r = right[c]
         a, b, eps = frame(t)
-        pre_v: list[float] = []
-        pre_m: list[float] = []
         for j in (c, r):
             born = opened.pop(j, None)
             if born is not None and born[0] == t:  # same instant: one contact run
-                ev, events[born[1]] = events[born[1]], None
-                pre_v += ev.pre_velocities
-                pre_m += ev.pre_masses
-            else:
-                pre_v.append(psi_bar + a * (mq[j] - k * my[j]) / mass[j])
-                pre_m.append(mass[j])
+                events[born[1]] = None
             w2 -= (mq[j] - k * my[j]) ** 2 / mass[j]
             if k:  # retire j: its phi integral goes to its cells
                 val = k * (my[j] * (int_a - born_a[j]) + mq[j] * (int_b - born_b[j])) / mass[j]
@@ -137,14 +132,13 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
         opened[c] = (t, len(events))
         events.append(MergeEvent(
             time=t, first_index=cells[c], last_index=cells[right[c]] - 1,
-            post_velocity=sum(w * v for w, v in zip(pre_m, pre_v)) / sum(pre_m),
-            post_psi=mpsi[c] / mass[c], pre_velocities=tuple(pre_v), pre_masses=tuple(pre_m)))
+            post_velocity=psi_bar + a * (mq[c] - k * my[c]) / mass[c],
+            post_psi=mpsi[c] / mass[c]))
         if left[c] >= 0:
             schedule(left[c], t, a, b, eps)
         schedule(c, t, a, b, eps)
 
-    times, snaps = [0.0], [ensemble]
-    phi_rows, v2_vals = [np.zeros(ensemble.n_cells)], [0.0]
+    times, snaps, v2_vals = [0.0], [ensemble], [0.0]
 
     def snapshot(t: float) -> None:
         accumulate_to(t)
@@ -158,13 +152,8 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
                                   ensemble.cell_velocities, ensemble.cell_psi,
                                   ensemble.starts[heads], cluster_positions=x,
                                   cluster_velocities=x)
-        phi = np.zeros(ensemble.n_cells)
-        if k:
-            live = k * (y * (int_a - born_a[heads]) + q * (int_b - born_b[heads]))
-            phi = np.cumsum(ramp)[:-1] + np.repeat(live, np.diff(snap.bounds))
         times.append(t)
         snaps.append(snap.evolved(x, drift(snap, kernel)))
-        phi_rows.append(phi)
         v2_vals.append(acc_v2)
 
     start = frame(0.0)
@@ -184,11 +173,17 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
     while node < math.inf:
         snapshot(node)
         node = next(pending, math.inf)
+    phi = np.zeros(ensemble.n_cells)
+    if k:  # the phi integral up to the last node, where the pass ended
+        heads = np.flatnonzero(alive)
+        mh, y, q = _block_sums(pools, heads)
+        live = k * (y / mh * (int_a - born_a[heads]) + q / mh * (int_b - born_b[heads]))
+        phi = np.cumsum(ramp)[:-1] + np.repeat(live, np.diff(snaps[-1].bounds))
 
     merges = sorted((ev for ev in events if ev is not None),
                     key=lambda ev: (ev.time, ev.first_index))
     stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "capped": 0, "events": len(merges)}
     return SimulationRecord(kernel=kernel, initial=ensemble,
                             times=np.array(times), snapshots=snaps, events=merges,
-                            phi_integrals=np.vstack(phi_rows),
+                            phi_integrals=phi,
                             v2_integrals=np.array(v2_vals), stats=stats)

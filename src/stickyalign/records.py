@@ -10,26 +10,29 @@ uncompressed ``np.savez`` archive of these arrays:
 * ``clusters``: int64 ``(T)``, the cluster count at each snapshot time;
 * ``snapshots``: float ``(2, sum(clusters))``, cluster positions and
   velocities, snapshot after snapshot, clusters in order;
-* ``accumulators``: float ``(T, N + 2)``, one row per snapshot time:
-  ``t, v_norm2_integral, phi_0 ... phi_{N-1}``;
+* ``accumulators``: float ``(T, 2)``, one row per snapshot time:
+  ``t, v_norm2_integral``;
+* ``phi_integral``: float ``(N)``, each cell's phi integral up to the last
+  snapshot time;
 * ``events``: float ``(E, 3)``, ``t, post_velocity, post_psi``;
 * ``event_cells``: int64 ``(E, 2)``, ``first_index, last_index``.
 
-Binary floats make a save/load cycle bit-exact, which the golden regression
-tests rely on, and ``np.savez`` stamps every member with one fixed date, so
-saving a loaded record reproduces the file byte for byte.  Cluster masses and
-psi are not stored: they are pooled from the cells.
+These are all the fields of a :class:`~stickyalign.dynamics.SimulationRecord`
+and its :class:`~stickyalign.dynamics.MergeEvent` objects, so a loaded record
+equals the saved one.  Binary floats make a save/load cycle bit-exact, which
+the golden regression tests rely on, and ``np.savez`` stamps every member
+with one fixed date, so saving a loaded record reproduces the file byte for
+byte.  Cluster masses and psi are not stored: they are pooled from the cells.
 
 Loading checks the cells as ``Ensemble.from_particles`` checks raw particles
 (finite, positive masses totalling 1, nondecreasing positions), and their psi
 for finiteness, and refuses invalid cell data: ``stickyalign verify`` exits 4
-on it instead of failing its checks.  It then replays the merge events over
-the cell grid to rebuild each snapshot's ``starts`` (an event
-``[first_index, last_index]`` removes the cluster starts inside it), so a
-loaded record's cluster/cell bookkeeping matches the in-memory one.  Cluster
-velocities at event instants are not serialized, hence loaded
-:class:`~stickyalign.dynamics.MergeEvent` objects have
-``pre_velocities=None``.
+on it instead of failing its checks.  Every other float must be finite too,
+snapshot times strictly increasing and event times nonnegative and
+nondecreasing.  Loading then replays the merge events over the cell grid to
+rebuild each snapshot's ``starts`` (an event ``[first_index, last_index]``
+removes the cluster starts inside it), so a loaded record's cluster/cell
+bookkeeping matches the in-memory one.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ _MEMBERS = {
     "clusters": (np.dtype(np.int64), 1),
     "snapshots": (np.dtype(float), 2),
     "accumulators": (np.dtype(float), 2),
+    "phi_integral": (np.dtype(float), 1),
     "events": (np.dtype(float), 2),
     "event_cells": (np.dtype(np.int64), 2),
 }
@@ -97,7 +101,8 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
         clusters=np.array([s.n_clusters for s in snaps], dtype=np.int64),
         snapshots=np.stack((np.concatenate([s.positions for s in snaps]),
                             np.concatenate([s.velocities for s in snaps]))),
-        accumulators=np.column_stack((record.times, record.v2_integrals, record.phi_integrals)),
+        accumulators=np.column_stack((record.times, record.v2_integrals)),
+        phi_integral=record.phi_integrals,
         events=np.array([(ev.time, ev.post_velocity, ev.post_psi) for ev in events],
                         dtype=float).reshape(-1, 3),
         event_cells=np.array([(ev.first_index, ev.last_index) for ev in events],
@@ -136,10 +141,11 @@ def load_record(directory) -> SimulationRecord:
     the snapshot's, so events recorded exactly at a node land on the correct
     side.  An event left over after the last snapshot is an error, as are
     snapshot rows whose positions are not finite and strictly increasing
-    within one time, or whose velocities are not finite.  A manifest without
-    ``stats`` loads with ``stats == {}``; invalid cell data, and anything else
-    missing or inconsistent (an older CSV layout has no ``record.npz``),
-    raises :class:`RecordIOError`.
+    within one time, any other float that is not finite, and event times
+    that are negative or decrease.  A manifest without ``stats`` loads with
+    ``stats == {}``; invalid cell data, and anything else missing or
+    inconsistent (an older layout has no ``record.npz``, or no
+    ``phi_integral``), raises :class:`RecordIOError`.
     """
     d = Path(directory)
     try:
@@ -159,15 +165,15 @@ def load_record(directory) -> SimulationRecord:
 
     arrays = _read_arrays(d / "record.npz")
     cells, lineage0, clusters = arrays["cells"], arrays["lineage"], arrays["clusters"]
-    rows, acc = arrays["snapshots"], arrays["accumulators"]
+    rows, acc, phi = arrays["snapshots"], arrays["accumulators"], arrays["phi_integral"]
     ev_table, ev_cells = arrays["events"], arrays["event_cells"]
     n = lineage0.size
-    if not (cells.shape == (4, n) and acc.shape == (clusters.size, n + 2)
+    if not (cells.shape == (4, n) and acc.shape == (clusters.size, 2) and phi.shape == (n,)
             and rows.shape == (2, int(np.sum(clusters))) and np.all(clusters > 0)
             and ev_table.shape[1] == 3 and ev_cells.shape == (len(ev_table), 2)):
         raise RecordIOError("record.npz: array shapes do not match one another (cells (4, N), "
-                            "accumulators (T, N + 2), snapshots (2, sum of positive clusters), "
-                            "events (E, 3), event_cells (E, 2))")
+                            "accumulators (T, 2), phi_integral (N), snapshots (2, sum of "
+                            "positive clusters), events (E, 3), event_cells (E, 2))")
     if not clusters.size:
         raise RecordIOError("record.npz holds no snapshots")
     try:
@@ -177,6 +183,11 @@ def load_record(directory) -> SimulationRecord:
     psi = cells[3]
     if not np.all(np.isfinite(psi)):
         raise RecordIOError("record.npz: cells: psi must be finite")
+    for name, values in (("accumulators", acc), ("phi_integral", phi), ("events", ev_table)):
+        if not np.all(np.isfinite(values)):
+            raise RecordIOError(f"record.npz: {name} must be finite")
+    if not np.all(np.diff(ev_table[:, 0], prepend=0.0) >= 0.0):
+        raise RecordIOError("record.npz: event times must be nonnegative and nondecreasing")
 
     first, last = ev_cells.T
     bad = ~((0 <= first) & (first < last) & (last < n))
@@ -222,7 +233,7 @@ def load_record(directory) -> SimulationRecord:
                             "snapshot (event replay ended at the last snapshot)")
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0], times=times,
-                            snapshots=snapshots, events=events, phi_integrals=acc[:, 2:],
+                            snapshots=snapshots, events=events, phi_integrals=phi,
                             v2_integrals=acc[:, 1], stats=stats)
 
 

@@ -60,6 +60,12 @@ def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
                                    kernel, **kwargs)
 
 
+def cell_ranges(snapshot: Ensemble) -> list[tuple[int, int]]:
+    """Half-open cell ranges of a snapshot's clusters, the form of ``predicted_partition``."""
+    b = snapshot.bounds.tolist()
+    return list(zip(b[:-1], b[1:]))
+
+
 def rewrite_record(directory, drop=(), **arrays) -> None:
     """Replace (or, with ``drop``, delete) members of a saved ``record.npz``."""
     path = directory / "record.npz"

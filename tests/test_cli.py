@@ -83,7 +83,7 @@ def test_simulate_happy_path(tmp_path):
     assert rec.events[0].time == pytest.approx(1.0, abs=1e-9)
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["config"]["kernel"] == {"type": "zero"}
-    assert set(meta["versions"]) == {"stickyalign", "numpy", "scipy", "python"}
+    assert set(meta["versions"]) == {"stickyalign", "numpy", "python"}
     assert meta["wall_time_s"] >= 0.0
 
 

@@ -61,7 +61,6 @@ def test_head_on_free_pair():
     assert ev.time == pytest.approx(1.0, abs=1e-9)
     assert ev.first_index == 0 and ev.last_index == 1
     assert ev.post_velocity == pytest.approx(0.0, abs=1e-13)
-    assert ev.pre_velocities == pytest.approx((1.0, -1.0), abs=1e-13)
     final = rec.snapshots[-1]
     assert final.n_clusters == 1
     assert final.positions[0] == pytest.approx(0.0, abs=1e-9)
@@ -194,8 +193,7 @@ def test_cascade_merges_contact_pair_with_equal_velocities():
     ens = at_instant([0.4, 0.6], [0.0, 1.5 * EPS], [0.7, 0.7])
     post, events = _cascade(ens, 0.0, EPS)
     assert post.n_clusters == 1 and len(events) == 1
-    assert events[0].pre_velocities == (0.7, 0.7)
-    assert post.velocities[0] == pytest.approx(0.7, abs=1e-15)
+    assert events[0].post_velocity == post.velocities[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_cascade_leaves_separating_contact_pair_apart():
@@ -211,8 +209,7 @@ def test_cascade_chain_resolves_in_one_call():
     post, events = _cascade(ens, 0.0, EPS)
     assert post.n_clusters == 1
     assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 2)]
-    assert events[0].pre_velocities == (3.0, 0.0, 1.0)
-    assert events[0].post_velocity == pytest.approx(4 / 3, abs=1e-15)
+    assert events[0].post_velocity == post.velocities[0] == pytest.approx(4 / 3, abs=1e-15)
 
 
 def test_cascade_overlap_whose_barycentre_crosses_a_neighbour_takes_it_in():
@@ -457,7 +454,28 @@ def test_attempt_sums_stages_like_the_builtin_sum():
             assert a.tobytes() == b.tobytes()
 
 
-def test_event_bookkeeping(rng):
+def linear_flow_velocities(ens, kernel, t):
+    """Velocities at t of the initial clusters under Zero or AllToAll flowing
+    freely: the flow is linear in (m, m x, m psi), so a merged cluster moves
+    as the pool of its initial clusters, v = psibar + e^{-K't} (q - K' y)."""
+    m = ens.masses
+    k = kernel.K * float(np.sum(m)) if isinstance(kernel, AllToAll) else 0.0
+    y = ens.positions - np.sum(m * ens.positions) / np.sum(m)
+    psi_bar = np.sum(m * ens.psi) / np.sum(m)
+    return psi_bar + np.exp(-k * t) * (ens.psi - psi_bar - k * y)
+
+
+def test_event_bookkeeping(rng, monkeypatch):
+    parents = {}  # event -> masses and velocities of the clusters its cascade pooled
+
+    def spy(ens, t_ev, eps):
+        post, events = _cascade(ens, t_ev, eps)
+        for ev in events:
+            a, b = ens.starts.searchsorted((ev.first_index, ev.last_index + 1))
+            parents[ev] = ens.masses[a:b], ens.velocities[a:b]
+        return post, events
+
+    monkeypatch.setattr(dynamics, "_cascade", spy)
     for _ in range(5):
         ens, kernel = random_scenario(rng, 25)
         rec = simulate(ens, kernel, 4.0, 1.0)
@@ -466,8 +484,12 @@ def test_event_bookkeeping(rng):
         for ev in rec.events:
             assert 0 <= ev.first_index <= ev.last_index < ens.n_cells
             # merged velocity is the momentum-conserving pool of the parents
-            w = np.asarray(ev.pre_masses)
-            v = np.asarray(ev.pre_velocities)
+            if isinstance(kernel, (Zero, AllToAll)):
+                a, b = ens.starts.searchsorted((ev.first_index, ev.last_index + 1))
+                w = ens.masses[a:b]
+                v = linear_flow_velocities(ens, kernel, ev.time)[a:b]
+            else:
+                w, v = parents[ev]
             assert ev.post_velocity == pytest.approx(
                 float(np.sum(w * v) / np.sum(w)), rel=1e-12, abs=1e-13)
             cells = slice(ev.first_index, ev.last_index + 1)
@@ -482,7 +504,7 @@ def test_partitions_only_coarsen(rng):
         rec = simulate(ens, kernel, 5.0, 0.5)
         prev_bounds = None
         for snap in rec.snapshots:
-            bounds = {a for a, _ in snap.cluster_cell_ranges()}
+            bounds = set(snap.starts.tolist())
             if prev_bounds is not None:
                 assert bounds <= prev_bounds  # once stuck, always stuck
             prev_bounds = bounds
@@ -536,7 +558,7 @@ def test_snapshot_grid():
     rec = simulate(ens, Zero(), 1.0, 0.25)
     np.testing.assert_allclose(rec.times, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert len(rec.snapshots) == 5
-    assert rec.phi_integrals.shape == (5, 2)
+    assert rec.phi_integrals.shape == (2,)
     assert rec.v2_integrals.shape == (5,)
     assert rec.initial is ens
     # non-divisible horizon gets a trailing partial node
@@ -549,8 +571,8 @@ def test_lookup_helpers():
     rec = simulate(ens, Zero(), 2.0, 0.5)
     assert rec.index_at(1.5) == 3
     assert rec.snapshot_at(0.0) is rec.snapshots[0]
-    assert rec.partition_at(2.0) == [(0, 2)]
-    assert rec.partition_at(0.5) == [(0, 1), (1, 2)]
+    assert rec.snapshot_at(2.0).bounds.tolist() == [0, 2]
+    assert rec.snapshot_at(0.5).bounds.tolist() == [0, 1, 2]
     with pytest.raises(KeyError):
         rec.index_at(0.3)
 
@@ -691,8 +713,20 @@ def test_closed_form_matches_the_integrator(cells, K):
                                                              for e in want]
     for e, f in zip(got, want):
         assert abs(e.time - f.time) <= 1e-9
-        np.testing.assert_allclose(e.pre_velocities, f.pre_velocities, rtol=0, atol=1e-8)
+        assert abs(e.post_velocity - f.post_velocity) <= 1e-8
     assert all(r.passed for r in verify_record(rec))
+
+
+def test_closed_form_merges_nothing_after_the_last_node():
+    # t_end lies 5e-10 past the last node and the pair touches in between:
+    # like the stepper, the closed form stops at the last snapshot
+    kernel = Zero()
+    speed = 1.0 / (1.0 - 2e-10)
+    ens = two_body(0.5, -1.0, speed, 0.5, 1.0, -speed, kernel)
+    snapshot_dt = (1.0 - 5e-10) / 2.0
+    rec = simulate(ens, kernel, 1.0, snapshot_dt)
+    assert rec.times[-1] < 1.0 and rec.events == []
+    assert dynamics._integrate(ens, kernel, 1.0, snapshot_dt).events == []
 
 
 def test_closed_form_all_to_all_stays_finite_at_large_k_t():

@@ -106,7 +106,7 @@ class TestMerged:
         ens, _ = random_scenario(rng, 6, kernel=Exponential(1.0))
         step1 = ens.merged([(0, 2)])
         step2 = step1.merged([(0, 2)])  # merges the pair cluster with the next
-        a, b = step2.cluster_cell_ranges()[0]
+        a, b = step2.bounds[:2].tolist()
         cells = slice(a, b)
         pooled = np.sum(ens.cell_masses[cells] * ens.cell_psi[cells]) \
             / np.sum(ens.cell_masses[cells])

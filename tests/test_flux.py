@@ -24,7 +24,7 @@ from stickyalign import (
     simulate,
 )
 from stickyalign.flux import Region, Subgroup
-from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario
+from tests.conftest import KERNEL_POOL, cell_ranges, ensemble_with_psi, random_scenario
 
 QUARTERS = [0.25, 0.25, 0.25, 0.25]
 
@@ -156,7 +156,7 @@ class TestMixedScenario:
                                 [2.0, -1.0, 0.0, 3.0], kernel)
         an = analyze(ens, kernel)
         rec = simulate(ens, kernel, 10.0, 2.5)
-        assert rec.partition_at(10.0) == predicted_partition(an, ens)
+        assert cell_ranges(rec.snapshot_at(10.0)) == predicted_partition(an, ens)
 
 
 def test_initial_clusters_stay_bonded():

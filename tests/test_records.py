@@ -51,10 +51,7 @@ def _assert_same_record(back, rec):
                       "cell_positions", "cell_velocities", "cell_psi"):
             _assert_same_bits(getattr(got, field), getattr(orig, field))
         got.validate()
-    fields = ("time", "first_index", "last_index", "post_velocity", "post_psi")
-    assert [tuple(getattr(e, f) for f in fields) for e in back.events] == \
-        [tuple(getattr(e, f) for f in fields) for e in rec.events]
-    assert all(e.pre_velocities is None for e in back.events)  # not serialized
+    assert back.events == rec.events  # a MergeEvent holds only stored fields
     _assert_same_bits(back.phi_integrals, rec.phi_integrals)
     _assert_same_bits(back.v2_integrals, rec.v2_integrals)
     assert back.stats == rec.stats
@@ -264,9 +261,8 @@ def test_corrupt_snapshot_rows_refused(eventful_record, tmp_path, capsys, line, 
 
 def test_empty_snapshot_table(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    n = eventful_record.initial.n_cells
     rewrite_record(tmp_path, clusters=np.empty(0, np.int64), snapshots=np.empty((2, 0)),
-                   accumulators=np.empty((0, n + 2)))
+                   accumulators=np.empty((0, 2)))
     with pytest.raises(RecordIOError, match="no snapshots"):
         load_record(tmp_path)
 
@@ -285,9 +281,13 @@ def test_accumulator_time_mismatch(eventful_record, tmp_path):
 
 def test_accumulators_one_row_per_time(eventful_record, tmp_path):
     save_record(eventful_record, tmp_path)
-    acc = _arrays(tmp_path)["accumulators"]
-    assert acc.shape == (eventful_record.times.size, 2 + eventful_record.initial.n_cells)
-    _assert_same_bits(acc[:, 0], eventful_record.times)
+    arrays = _arrays(tmp_path)
+    assert arrays["accumulators"].shape == (eventful_record.times.size, 2)
+    _assert_same_bits(arrays["accumulators"][:, 0], eventful_record.times)
+    _assert_same_bits(arrays["accumulators"][:, 1], eventful_record.v2_integrals)
+    # one phi row, up to the last snapshot time
+    _assert_same_bits(arrays["phi_integral"], eventful_record.phi_integrals)
+    assert arrays["phi_integral"].shape == (eventful_record.initial.n_cells,)
 
 
 def test_old_accumulator_layout_refused(eventful_record, tmp_path):
@@ -297,6 +297,39 @@ def test_old_accumulator_layout_refused(eventful_record, tmp_path):
         [(t, i, 0.0, 0.0) for t in eventful_record.times.tolist() for i in range(4)]))
     with pytest.raises(RecordIOError, match="accumulators"):
         load_record(tmp_path)
+    # one row per time: t, v_norm2_integral, phi_0 ... phi_{N-1}, no phi_integral member
+    times, v2 = eventful_record.times, eventful_record.v2_integrals
+    phi = np.zeros((times.size, eventful_record.initial.n_cells))
+    rewrite_record(tmp_path, drop=("phi_integral",),
+                   accumulators=np.column_stack((times, v2, phi)))
+    with pytest.raises(RecordIOError, match="phi_integral"):
+        load_record(tmp_path)
+
+
+def _swap_event_times(events):
+    events[[0, -1], 0] = events[[-1, 0], 0]
+
+
+@pytest.mark.parametrize("member, corrupt, match", [
+    ("events", lambda a: a.__setitem__((0, 0), np.nan), "events must be finite"),
+    ("events", _swap_event_times, "event times must be nonnegative and nondecreasing"),
+    ("events", lambda a: a.__setitem__((0, 0), -5.0), "event times must be nonnegative"),
+    ("events", lambda a: a.__setitem__((0, 1), np.inf), "events must be finite"),
+    ("events", lambda a: a.__setitem__((-1, 2), np.nan), "events must be finite"),
+    ("accumulators", lambda a: a.__setitem__((3, 1), np.nan), "accumulators must be finite"),
+    ("accumulators", lambda a: a.__setitem__((-1, 0), np.inf), "accumulators must be finite"),
+    ("phi_integral", lambda a: a.__setitem__(2, np.inf), "phi_integral must be finite"),
+], ids=["nan-event-time", "swapped-event-times", "negative-event-time", "inf-post-velocity",
+        "nan-post-psi", "nan-v2", "inf-last-time", "inf-phi"])
+def test_corrupt_floats_refused(eventful_record, tmp_path, capsys, member, corrupt, match):
+    """Event, time and accumulator data that would load and pass every check,
+    or fail one check only, is refused on load instead."""
+    assert len({ev.time for ev in eventful_record.events}) > 1
+    save_record(eventful_record, tmp_path)
+    values = _arrays(tmp_path)[member]
+    corrupt(values)
+    rewrite_record(tmp_path, **{member: values})
+    _refused(tmp_path, capsys, re.escape(f"record.npz: {match}"))
 
 
 def test_event_after_the_last_snapshot(tmp_path):
@@ -347,7 +380,7 @@ def test_flipped_record_byte_refused(eventful_record, tmp_path, capsys, where, m
 
 
 @pytest.mark.parametrize("member", ["cells", "lineage", "clusters", "snapshots",
-                                    "accumulators", "events", "event_cells"])
+                                    "accumulators", "phi_integral", "events", "event_cells"])
 def test_missing_member_refused(eventful_record, tmp_path, capsys, member):
     save_record(eventful_record, tmp_path)
     rewrite_record(tmp_path, drop=(member,))
@@ -370,7 +403,7 @@ def test_wrong_dtype_or_ndim_refused(eventful_record, tmp_path, capsys, member, 
 @pytest.mark.parametrize("member, change", [
     ("lineage", lambda a: a[:-1]),
     ("cells", lambda a: a[:3]),
-    ("accumulators", lambda a: a[:, :-1]),
+    ("phi_integral", lambda a: a[:-1]),
     ("event_cells", lambda a: a[:-1]),
     ("clusters", lambda a: np.concatenate(([a[0] + a[-1]], a[1:-1], [0]))),
 ], ids=["short-lineage", "three-cell-rows", "missing-phi-column", "short-event-cells",

@@ -290,6 +290,15 @@ class TestConservation:
         assert not res.passed
         assert res.residual == pytest.approx(1.0)
 
+    def test_nan_snapshot_velocity_fails(self, mixed_record):
+        # a NaN momentum after the first snapshot must not be reduced away
+        snaps = list(mixed_record.snapshots)
+        v = snaps[1].velocities.copy()
+        v[0] = np.nan
+        snaps[1] = snaps[1].evolved(snaps[1].positions, v)
+        res = check_conservation(dataclasses.replace(mixed_record, snapshots=snaps))
+        assert not res.passed and np.isnan(res.residual)
+
     def test_cluster_count_increase_fails(self):
         kernel = Zero()
         ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [0.0, 0.0], kernel)
@@ -308,6 +317,12 @@ class TestDissipation:
                          phi=mixed_record.phi_integrals,
                          v2=mixed_record.v2_integrals + 1e3)
         assert not check_dissipation(rec).passed
+
+    def test_nan_integral_fails(self, mixed_record):
+        v2 = mixed_record.v2_integrals.copy()
+        v2[5] = np.nan
+        res = check_dissipation(dataclasses.replace(mixed_record, v2_integrals=v2))
+        assert not res.passed and np.isnan(res.residual)
 
 
 # -- flocking ------------------------------------------------------------
