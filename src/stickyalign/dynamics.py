@@ -143,7 +143,7 @@ def drift(ensemble: Ensemble, kernel: Kernel) -> np.ndarray:
 
 def _make_rhs(masses: np.ndarray, psi: np.ndarray, kernel: Kernel):
     def rhs(x: np.ndarray) -> np.ndarray:
-        return psi - kernel.convolve(x, x, masses)
+        return psi - kernel.convolve(x, masses)
     return rhs
 
 
@@ -457,8 +457,7 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
         dt = t_new - t_mark
         if dt <= 0.0:
             return
-        conv = state_mark.convolve_big_phi(kernel, state_mark.positions)
-        acc_phi = acc_phi + dt * np.asarray(conv)[state_mark.lineage]
+        acc_phi = acc_phi + dt * state_mark.convolve_big_phi(kernel)[state_mark.lineage]
         acc_v2 = acc_v2 + dt * float(np.sum(state_mark.masses * state_mark.velocities ** 2))
         t_mark = t_new
 

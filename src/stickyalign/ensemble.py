@@ -116,7 +116,7 @@ class Ensemble:
         overflowing convolution).
         """
         m, x, v = _checked_cells(masses, positions, velocities, normalize=normalize)
-        psi = v + kernel.convolve(x, x, m)
+        psi = v + kernel.convolve(x, m)
         if not np.all(np.isfinite(psi)):
             raise InvalidEnsembleError("natural velocities must be finite")
         starts = np.flatnonzero(np.concatenate(([True], x[1:] > x[:-1])))
@@ -230,12 +230,9 @@ class Ensemble:
         theta = np.cumsum(self.masses)[:-1]
         return QuantileFunction(breakpoints=_frozen(theta), values=self.positions)
 
-    def convolve_big_phi(self, kernel: Kernel, at):
-        """(Phi * rho)(at) = sum_j m_j Phi(at - x_j); scalar or vectorized."""
-        out = kernel.convolve(np.atleast_1d(at), self.positions, self.masses)
-        if np.isscalar(at) or getattr(at, "ndim", 1) == 0:
-            return float(out[0])
-        return out
+    def convolve_big_phi(self, kernel: Kernel) -> np.ndarray:
+        """(Phi * rho)(x_k) = sum_j m_j Phi(x_k - x_j) at each cluster x_k."""
+        return kernel.convolve(self.positions, self.masses)
 
     def momentum(self) -> float:
         return float(np.sum(self.masses * self.velocities))

@@ -28,13 +28,13 @@ CompactBump     phi(r) = height on |r| <= radius, zero beyond.
 
 Convolution and energy
 ----------------------
-``Kernel.convolve`` (every force term, Phi * rho) and ``Kernel.energy`` (the
-double sum of W) are dense N x N sums in the base class; PowerLaw and
-CompactBump use them.  Zero returns zeros.  AllToAll reduces both to the
-mass, centre of mass and second moment, in O(N).  Exponential splits
-e^(-|x - y|) into the two sides of each point and sums each side with one
-decaying scan over the sorted positions, in O(N log N); no exponent is ever
-positive, so nothing overflows at any spread.
+``Kernel.convolve`` (every force term, Phi * rho at the particles) and
+``Kernel.energy`` (the double sum of W) are dense N x N sums in the base
+class; PowerLaw and CompactBump use them.  Zero returns zeros.  AllToAll
+reduces both to the mass, centre of mass and second moment, in O(N).
+Exponential sums each side of every sorted point as a prefix sum, in O(N):
+e^(x_j - x_k) = e^(x_j - anchor) / e^(x_k - anchor) against the first point
+of a block at most 500 wide, so no factor overflows or leaves the normal floats.
 
 All values are plain dimensionless reals; instances are immutable and safe to
 share between threads.
@@ -61,40 +61,27 @@ __all__ = [
 ]
 
 
-def _exp_sides(at, x, m):
-    """One-sided sums over positions ``x`` sorted ascending, at each ``at``.
+#: widest span summed against one anchor: e^(+-500) keeps m e^(x - anchor)
+#: a normal float for any mass in [1e-90, 1e90]; e^(+-709) is the float edge
+_EXP_BLOCK = 500.0
 
-    Returns the mass strictly left and strictly right of each point of
-    ``at``, and sum m_j e^(-|at - x_j|) over each of those two sides.  The
-    decayed prefix G_k = sum_{j<=k} m_j e^(-(x_k - x_j)) obeys the linear
-    recurrence G_k = e^(-(x_k - x_(k-1))) G_(k-1) + m_k, which a doubling
-    scan solves in log2(N) vector passes; the suffix is the same scan on the
-    reversed order.  Every factor is e^(-gap) <= 1 and every exponent is a
-    local difference, so the sums neither overflow nor lose precision at
-    wide spreads.
-    """
-    n = x.size
-    # [0, m_0 .. m_(n-1), 0, m_(n-1) .. m_0]: both directions in one scan, with
-    # zero decay into and out of each pad so that nothing crosses between them
-    link = np.exp(-np.diff(x))
-    decay = np.concatenate(([0.0, 0.0], link, [0.0, 0.0], link[::-1]))
-    sums = np.concatenate(([0.0], m, [0.0], m[::-1]))
-    step = 1
-    while step < n:
-        sums[step:] += decay[step:] * sums[:-step]
-        decay[step:] *= decay[:-step]
-        step *= 2
-    # each side's mass is its own running sum: the total less the left sum
-    # would lose the small masses right of a heavy left side to cancellation
-    left = np.concatenate(([0.0], np.cumsum(m)))
-    right = np.concatenate((np.cumsum(m[::-1])[::-1], [0.0]))
-    lo = np.searchsorted(x, at, side="left")  # sums[lo]: G at the nearest point left
-    hi = np.searchsorted(x, at, side="right")  # sums[2n+1-hi]: suffix at the nearest right
-    x_left = np.concatenate(([-np.inf], x))
-    x_right = np.concatenate((x, [np.inf]))
-    return (left[lo], right[hi],
-            sums[lo] * np.exp(x_left[lo] - at),
-            sums[2 * n + 1 - hi] * np.exp(at - x_right[hi]))
+
+def _exp_prefix(x, m):
+    """The mass before each of the sorted points ``x``, L_k = sum_{j<k} m_j, and
+    its decayed twin G_k = sum_{j<k} m_j e^(-(x_k - x_j)): one cumulative sum of
+    m_j e^(x_j - anchor) per block of points at most ``_EXP_BLOCK`` wide, led
+    by the G carried across the gap from the block before."""
+    mass = np.concatenate(([0.0], np.add.accumulate(m[:-1])))
+    decayed = np.empty_like(x)
+    carry, x_carry, start = 0.0, x[0], 0
+    while start < x.size:
+        stop = int(np.searchsorted(x, x[start] + _EXP_BLOCK, side="right"))
+        grow = np.exp(x[start:stop] - x[start])
+        sums = np.add.accumulate(np.concatenate(([carry * math.exp(x_carry - x[start])],
+                                                 m[start:stop] * grow)))
+        decayed[start:stop] = sums[:-1] / grow
+        carry, x_carry, start = sums[-1] / grow[-1], x[stop - 1], stop
+    return mass, decayed
 
 
 def _maybe_scalar(x, out):
@@ -169,14 +156,14 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def convolve(self, at, positions, masses) -> np.ndarray:
-        """(Phi * rho)(at_i) = sum_j m_j Phi(at_i - x_j) over 1-d arrays.
+    def convolve(self, positions, masses) -> np.ndarray:
+        """(Phi * rho)(x_i) = sum_j m_j Phi(x_i - x_j) at each particle x_i.
 
-        Neither ``at`` nor ``positions`` need be sorted.  The base class sums
-        the N x N matrix directly; families with a faster exact form override
-        it, and this dense form stays their test oracle.
+        Positions may come in any order.  The base class sums the N x N
+        matrix directly; families with a faster exact form override it, and
+        this dense form stays their test oracle.
         """
-        return self.big_phi(at[:, None] - positions[None, :]) @ masses
+        return self.big_phi(positions[:, None] - positions[None, :]) @ masses
 
     def energy(self, x, m) -> float:
         """Interaction energy 0.5 sum_ij m_i m_j W(x_i - x_j) over 1-d arrays.
@@ -207,8 +194,8 @@ class Zero(Kernel):
     def w_phi(self, x):
         return _maybe_scalar(x, np.zeros_like(np.asarray(x, dtype=float)))
 
-    def convolve(self, at, positions, masses) -> np.ndarray:
-        return np.zeros(len(at))
+    def convolve(self, positions, masses) -> np.ndarray:
+        return np.zeros(len(positions))
 
     def energy(self, x, m) -> float:
         return 0.0
@@ -243,10 +230,10 @@ class AllToAll(Kernel):
         xa = np.asarray(x, dtype=float)
         return _maybe_scalar(x, 0.5 * self.K * xa * xa)
 
-    def convolve(self, at, positions, masses) -> np.ndarray:
+    def convolve(self, positions, masses) -> np.ndarray:
         total = masses.sum()
         with np.errstate(over="ignore"):  # callers refuse a non-finite result
-            return self.K * total * (at - (masses @ positions) / total)
+            return self.K * total * (positions - (masses @ positions) / total)
 
     def energy(self, x, m) -> float:
         total = m.sum()
@@ -366,23 +353,27 @@ class Exponential(Kernel):
         # integral of a(1 - e^-y) from 0 to x; expm1 keeps small x from cancelling
         return _maybe_scalar(x, self.a * (ax + np.expm1(-ax)))
 
-    def convolve(self, at, positions, masses) -> np.ndarray:
-        # Phi(d) = a sign(d) (1 - e^-|d|): the masses strictly on each side,
-        # less their e^-|d| weights; coincident points give Phi(0) = 0
-        order = np.argsort(positions, kind="stable")
-        mass_left, mass_right, near_left, near_right = _exp_sides(
-            at, positions[order], masses[order])
-        return self.a * ((mass_left - near_left) - (mass_right - near_right))
+    def convolve(self, positions, masses) -> np.ndarray:
+        # Phi(d) = a sign(d) (1 - e^-|d|): the masses before and after each sorted
+        # point less their e^-|d| weights, where a coincident pair adds m - m e^0 = 0
+        x = positions
+        order = slice(None) if (x[1:] >= x[:-1]).all() else np.argsort(x, kind="stable")
+        x, m = x[order], masses[order]
+        left, near_left = _exp_prefix(x, m)
+        right, near_right = _exp_prefix(-x[::-1], m[::-1])
+        out = np.empty_like(x)
+        out[order] = self.a * ((left - near_left) - (right - near_right)[::-1])
+        return out
 
     def energy(self, x, m) -> float:
-        # W(d) = a (|d| - 1 + e^-|d|) summed over the pairs i < j of distinct
-        # sorted positions; sum_{i<j} m_i m_j (x_j - x_i) counts each gap
-        # x_k - x_(k-1) once per pair it separates (the mass left of x_k times
-        # the mass right of x_(k-1)), so it has only positive terms
+        # W(d) = a (|d| - 1 + e^-|d|) summed over the pairs i < j of sorted
+        # positions; sum_{i<j} m_i m_j (x_j - x_i) counts each gap
+        # x_k - x_(k-1) once per pair it separates (the mass before x_k times
+        # the mass from x_k on), so it has only positive terms
         order = np.argsort(x, kind="stable")
         x, m = x[order], m[order]
-        mass_left, mass_right, near_left, _ = _exp_sides(x, x, m)
-        spread = np.diff(x) @ (mass_left[1:] * mass_right[:-1])
+        mass_left, near_left = _exp_prefix(x, m)
+        spread = np.diff(x) @ (mass_left[1:] * np.cumsum(m[:0:-1])[::-1])
         return self.a * float(spread - m @ (mass_left - near_left))
 
     @property

@@ -133,6 +133,21 @@ def _read_arrays(path: Path) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _first_cover(n, lo, hi) -> np.ndarray:
+    """For each index in ``[0, n)`` the first ``k`` with ``lo[k] <= index <= hi[k]``,
+    else ``len(lo)``: a sparse table marks each range as two power-of-two
+    blocks, and each level hands its minimum down to the halves of its blocks."""
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length)), exact
+    table = np.full((int(level.max(initial=0)) + 1, n), lo.size)
+    for start in (lo, hi + 1 - (1 << level)):
+        np.minimum.at(table, (level, start), np.arange(lo.size))
+    for j in range(table.shape[0] - 1, 0, -1):
+        half = 1 << (j - 1)
+        np.minimum(table[j - 1], table[j], out=table[j - 1])
+        np.minimum(table[j - 1, half:], table[j, :-half], out=table[j - 1, half:])
+    return table[0]
+
+
 def load_record(directory) -> SimulationRecord:
     """Rebuild a :class:`SimulationRecord` saved by :func:`save_record`.
 
@@ -210,26 +225,24 @@ def load_record(directory) -> SimulationRecord:
         raise RecordIOError(f"record.npz: snapshot at t={t_rows[np.argmax(bad)]}: positions "
                             "must be finite and strictly increasing, velocities finite")
 
-    # replay the merge events: an event clears the cluster starts inside it
-    opens = np.concatenate(([True], lineage0[1:] != lineage0[:-1]))
-    cursor = 0
+    # replay the merge events: a cluster start closes at the first event whose
+    # range holds it; a snapshot takes events while clusters are left over and
+    # the next event is due by its time
+    opens = np.flatnonzero(np.concatenate(([True], lineage0[1:] != lineage0[:-1])))
+    closing = _first_cover(n, first + 1, last)[opens]
+    left = opens.size - np.searchsorted(np.sort(closing), np.arange(len(events) + 1))
+    due = np.searchsorted(ev_table[:, 0], times + 1e-9 * np.maximum(1.0, np.abs(times)), "right")
+    cursors = np.maximum.accumulate(np.minimum(np.searchsorted(-left, -clusters), due))
     snapshots = []
-    for t, count, (xs, vs) in zip(times.tolist(), clusters.tolist(),
-                                  np.split(rows, np.cumsum(clusters)[:-1], axis=1)):
-        while cursor < len(events) and np.count_nonzero(opens) > count:
-            ev = events[cursor]
-            if ev.time > t + 1e-9 * max(1.0, abs(t)):
-                break
-            opens[ev.first_index + 1:ev.last_index + 1] = False
-            cursor += 1
-        starts = np.flatnonzero(opens)
-        if starts.size != count:
+    for t, count, cursor, (xs, vs) in zip(times.tolist(), clusters.tolist(), cursors.tolist(),
+                                          np.split(rows, np.cumsum(clusters)[:-1], axis=1)):
+        if left[cursor] != count:
             raise RecordIOError(f"snapshot at t={t}: {count} clusters but event replay "
-                                f"gives {starts.size}")
-        snapshots.append(Ensemble._assemble(m, x, v, psi, starts, cluster_positions=xs,
-                                            cluster_velocities=vs))
-    if cursor < len(events):
-        raise RecordIOError(f"event at t={events[cursor].time} is not reflected in any "
+                                f"gives {left[cursor]}")
+        snapshots.append(Ensemble._assemble(m, x, v, psi, opens[closing >= cursor],
+                                            cluster_positions=xs, cluster_velocities=vs))
+    if cursors[-1] < len(events):
+        raise RecordIOError(f"event at t={events[cursors[-1]].time} is not reflected in any "
                             "snapshot (event replay ended at the last snapshot)")
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0], times=times,

@@ -52,12 +52,21 @@ def random_scenario(rng: np.random.Generator, n_max: int = 50, *,
 
 
 def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
-    """Back out raw velocities so the natural velocities come out as ``psi``."""
-    m = np.asarray(masses, dtype=float)
-    x = np.asarray(positions, dtype=float)
-    conv = kernel.convolve(x, x, m)
-    return Ensemble.from_particles(m, x, np.asarray(psi, dtype=float) - conv,
-                                   kernel, **kwargs)
+    """An ensemble whose natural velocities are exactly ``psi``, with the raw
+    velocities backed out as ``psi - conv``.
+
+    ``Ensemble.from_particles`` would recompute psi as ``v + conv``, which can
+    miss ``psi`` by an ulp and split a tie between cells; for some ``psi`` no
+    float ``v`` hits it (``v`` has the coarser ulp), so ``psi`` is set as
+    given, on the cells that ``from_particles`` checks and groups.
+    """
+    psi = np.asarray(psi, dtype=float)
+    ens = Ensemble.from_particles(masses, positions, np.zeros_like(psi), kernel, **kwargs)
+    m, x = ens.cell_masses, ens.cell_positions
+    exact = Ensemble._assemble(m, x, psi - kernel.convolve(x, m), psi, ens.starts,
+                               cluster_positions=ens.positions, cluster_velocities=None)
+    assert np.array_equal(exact.cell_psi, psi)
+    return exact
 
 
 def cell_ranges(snapshot: Ensemble) -> list[tuple[int, int]]:

@@ -209,13 +209,7 @@ def test_constant_psi_is_one_critical_subgroup():
     masses' partial sums (a hull sweep over the nodes splits it at m=0.625)."""
     kernel = PowerLaw(1.0, 0.5, 1.0)
     m = np.array([1, 3, 2, 4, 1, 2, 3]) / 16
-    x = np.arange(7.0) * 1e-3  # |conv| < 0.2 keeps v in the binade of 0.7
-    conv = kernel.convolve(x, x, m)
-    v = 0.7 - conv
-    for _ in range(4):  # nudge by ulps until each natural velocity rounds to 0.7
-        v = np.where(v + conv < 0.7, np.nextafter(v, np.inf),
-                     np.where(v + conv > 0.7, np.nextafter(v, -np.inf), v))
-    ens = Ensemble.from_particles(m, x, v, kernel)
+    ens = ensemble_with_psi(m, np.arange(7.0) * 1e-3, np.full(7, 0.7), kernel)
     assert np.all(ens.cell_psi == 0.7)
     an = analyze(ens, kernel)
     assert [sg.cells for sg in an.subgroups] == [(0, 7)]

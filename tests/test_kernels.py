@@ -252,56 +252,56 @@ def test_vectorization_matches_scalars():
 @st.composite
 def scan_inputs(draw):
     """Unsorted positions with runs of coincident points, optionally split
-    into two groups near -800 and +800 (a spread no single exponential
-    anchor survives), and evaluation points on and off the positions."""
+    into two groups near -800 and +800 (a spread wider than one exponential
+    block, so the sums are carried across the gap)."""
     base = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=25)))
     if draw(st.booleans()):
         base += np.where(np.arange(base.size) % 2 == 1, 800.0, -800.0)
     x = np.repeat(base, draw(st.lists(st.integers(1, 3), min_size=base.size,
                                       max_size=base.size)))
     m = np.array(draw(st.lists(st.floats(1e-3, 2.0), min_size=x.size, max_size=x.size)))
-    off = draw(st.lists(st.floats(-810.0, 810.0), max_size=5))
     order = draw(st.permutations(range(x.size)))
-    at = np.concatenate((x, off))[draw(st.permutations(range(x.size + len(off))))]
-    return at, x[order], m[order]
+    return x[order], m[order]
 
 
 @given(st.sampled_from(["exponential", "all_to_all"]), st.floats(0.1, 3.0), scan_inputs())
 @example("exponential", 2.0, (np.array([-800.0, -800.0, 800.0, 800.0]),
-                              np.array([-800.0, -800.0, 800.0, 800.0]),
                               np.array([1.0, 1.0, 1e-3, 1e-3])))
 @settings(max_examples=300, deadline=None)
 def test_fast_convolve_and_energy_match_the_dense_sums(family, c, inputs):
-    at, x, m = inputs
+    x, m = inputs
     if family == "exponential":
         kernel = Exponential(c)
         scale = kernel.big_phi_sup
     else:
         kernel = AllToAll(c)
-        scale = c * (1.0 + np.max(np.abs(at)) + np.max(np.abs(x)))
+        scale = c * (1.0 + 2.0 * np.max(np.abs(x)))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        conv = kernel.convolve(at, x, m)
+        conv = kernel.convolve(x, m)
         e = kernel.energy(x, m)
     assert np.all(np.isfinite(conv)) and math.isfinite(e)
-    dense = Kernel.convolve(kernel, at, x, m)
+    dense = Kernel.convolve(kernel, x, m)
     assert np.max(np.abs(conv - dense)) <= 1e-13 * np.sum(m) * scale
     dense_e = Kernel.energy(kernel, x, m)
     assert abs(e - dense_e) <= 1e-13 * (1.0 + abs(dense_e))
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 1000])
-def test_exponential_scan_spans_every_doubling_pass(n):
-    # each power of two up to n is one pass of the scan; dense normal draws
-    # keep the pairs 2^k apart within a few units, so every pass matters
+def test_exponential_prefix_carries_across_blocks(n):
+    # a 1600-wide spread takes several blocks of the prefix sums; at n=1000
+    # the points are 1.6 apart, so the sums carried across each block's
+    # leading gap weigh in, and the unsorted copy takes the argsort
     rng = np.random.default_rng(n)
     kernel = Exponential(0.7)
-    x = rng.normal(size=n)
+    x = np.sort(rng.uniform(-800.0, 800.0, size=n))
+    x[0], x[-1] = -800.0, 800.0
     m = rng.uniform(0.1, 1.0, size=n)
-    at = np.concatenate((x, rng.normal(scale=3.0, size=20)))
-    dense = Kernel.convolve(kernel, at, x, m)
-    assert np.max(np.abs(kernel.convolve(at, x, m) - dense)) <= 1e-13 * np.sum(m) * 0.7
-    dense_e = Kernel.energy(kernel, x, m)
-    assert abs(kernel.energy(x, m) - dense_e) <= 1e-13 * (1.0 + abs(dense_e))
+    for order in (np.arange(n), rng.permutation(n)):
+        dense = Kernel.convolve(kernel, x[order], m[order])
+        conv = kernel.convolve(x[order], m[order])
+        assert np.max(np.abs(conv - dense)) <= 1e-13 * np.sum(m) * 0.7
+        dense_e = Kernel.energy(kernel, x[order], m[order])
+        assert abs(kernel.energy(x[order], m[order]) - dense_e) <= 1e-13 * (1.0 + abs(dense_e))
 
 
 def test_zero_energy_is_zero():

@@ -6,6 +6,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickyalign import (
     Exponential,
@@ -20,7 +22,7 @@ from stickyalign import (
 )
 from stickyalign.cli import EXIT_CONFIG_ERROR, EXIT_IO_ERROR, run_verify
 from stickyalign.ensemble import MASS_BUDGET_TOL
-from stickyalign.records import RECORD_FILES
+from stickyalign.records import RECORD_FILES, _first_cover
 from stickyalign.verify import verify_record
 from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario, rewrite_record
 
@@ -201,6 +203,20 @@ def test_dropped_event_row_breaks_replay(eventful_record, tmp_path):
     rewrite_record(tmp_path, events=arrays["events"][:-1], event_cells=arrays["event_cells"][:-1])
     with pytest.raises(RecordIOError, match="event replay"):
         load_record(tmp_path)
+
+
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))))
+@settings(max_examples=200, deadline=None)
+def test_first_cover_is_the_replay_loop(case):
+    # the event replay as a loop: range k clears what no earlier range cleared
+    n, pairs = case
+    lo = np.array([min(p) for p in pairs], dtype=np.int64)
+    hi = np.array([max(p) for p in pairs], dtype=np.int64)
+    loop = np.full(n, len(pairs))
+    for k in range(len(pairs) - 1, -1, -1):
+        loop[lo[k]:hi[k] + 1] = k
+    np.testing.assert_array_equal(_first_cover(n, lo, hi), loop)
 
 
 def test_event_with_bad_cell_range(eventful_record, tmp_path):
