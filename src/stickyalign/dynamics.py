@@ -392,14 +392,11 @@ class SimulationRecord:
     v2_integrals: np.ndarray
     stats: dict[str, int] = field(default_factory=dict)
 
-    def index_at(self, t: float) -> int:
+    def snapshot_at(self, t: float) -> Ensemble:
         k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError(f"{t} is not a snapshot time")
-        return k
-
-    def snapshot_at(self, t: float) -> Ensemble:
-        return self.snapshots[self.index_at(t)]
+        return self.snapshots[k]
 
 
 def _snapshot_nodes(t_end: float, snapshot_dt: float) -> list[float]:

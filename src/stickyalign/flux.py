@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .exceptions import InvalidScenarioError, KernelRangeError
+from .exceptions import InvalidScenarioError
 from .kernels import Kernel
 from .monotone import PiecewiseLinear, cumulative_primitive, lower_convex_envelope
 
@@ -191,14 +191,21 @@ def predicted_partition(analysis: FluxAnalysis, ensemble: Ensemble) -> list[tupl
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _inv_big_phi(kernel: Kernel, y: float) -> float | None:
-    """Phi^{-1}(y), or None when ``y`` is outside the primitive's range."""
-    if y >= kernel.big_phi_sup:
-        return None
-    try:
-        return float(kernel.inv_big_phi(y))
-    except KernelRangeError:
-        return None
+def _pair_thresholds(analysis: FluxAnalysis, first: np.ndarray, second: np.ndarray):
+    """``(rate, lower, upper, thin)`` of the subgroup pairs ``(first[k], second[k])``,
+    read off the envelope: psi is its slopes, a pair's mass span runs from node
+    ``first`` to node ``second + 1``.  ``thin`` marks a velocity gap above the L1
+    norm of phi; ``rate`` is NaN off it, ``lower`` and ``upper`` NaN where their
+    argument leaves Phi's range (always so on a thin pair)."""
+    hull, kernel = analysis.A_star_star, analysis.kernel
+    gap = hull.slopes[second] - hull.slopes[first]
+    if np.any(gap <= 0.0):
+        raise InvalidScenarioError("subgroup velocities must increase with index")
+    thin = gap > kernel.phi_l1_norm
+    y = np.stack((0.5 * gap, gap / (hull.nodes[second + 1] - hull.nodes[first])))
+    ok = y < kernel.big_phi_sup
+    half, upper = np.where(ok, kernel.inv_big_phi(np.where(ok, y, 0.0)), np.nan)
+    return np.where(thin, gap - kernel.phi_l1_norm, np.nan), 2.0 * half, upper, thin
 
 
 def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> FlockingThresholds:
@@ -210,21 +217,16 @@ def flocking_thresholds(analysis: FluxAnalysis, first: int, second: int) -> Floc
     Phi^{-1}(gap / mass span) and limiting distance at least
     2 Phi^{-1}(gap / 2); each None when the argument leaves Phi's range.
     Raises :class:`InvalidScenarioError` when the velocity gap is not
-    positive, as between subgroups that rounding split at tied psi.
+    positive, as between subgroups that rounding split at tied psi.  This is
+    one pair of the array evaluation :func:`~stickyalign.verify.check_flocking`
+    runs on all adjacent pairs at once.
     """
     if not 0 <= first < second < len(analysis.subgroups):
         raise ValueError("need two distinct subgroup indices in order")
-    sg1 = analysis.subgroups[first]
-    sg2 = analysis.subgroups[second]
-    gap = sg2.psi - sg1.psi
-    if gap <= 0.0:
-        raise InvalidScenarioError("subgroup velocities must increase with index")
-    kernel = analysis.kernel
-    l1 = kernel.phi_l1_norm
-    if gap > l1:
-        return FlockingThresholds(Regime.THIN_TAIL_DIVERGE, rate=gap - l1,
-                                  lower=None, upper=None)
-    lower = _inv_big_phi(kernel, 0.5 * gap)
+    rate, lower, upper, thin = (a[0].item() for a in _pair_thresholds(
+        analysis, np.array([first]), np.array([second])))
+    if thin:
+        return FlockingThresholds(Regime.THIN_TAIL_DIVERGE, rate=rate, lower=None, upper=None)
     return FlockingThresholds(Regime.FAT_TAIL_BOUND, rate=None,
-                              lower=None if lower is None else 2.0 * lower,
-                              upper=_inv_big_phi(kernel, gap / (sg2.m_hi - sg1.m_lo)))
+                              lower=None if np.isnan(lower) else lower,
+                              upper=None if np.isnan(upper) else upper)

@@ -104,7 +104,7 @@ class Kernel:
     w_phi(x)
         even convex potential W with W(0) = 0 and W' = Phi.
     inv_big_phi(y)
-        the x >= 0 with Phi(x) = y, for y in [0, sup Phi).
+        the x >= 0 with Phi(x) = y, for y in [0, sup Phi) (vectorized).
 
     and the tail/origin descriptors ``big_phi_sup``, ``phi_l1_norm``,
     ``reciprocal_phi_integrable_at_zero``.
@@ -146,13 +146,13 @@ class Kernel:
         """
         return False
 
-    def inv_big_phi(self, y: float) -> float:
-        """Inverse of the primitive on [0, sup Phi).
+    def inv_big_phi(self, y):
+        """Inverse of the primitive on [0, sup Phi), elementwise.
 
         Raises
         ------
         KernelRangeError
-            if ``y`` is negative, or at/above the supremum of a bounded Phi.
+            if any ``y`` is negative, or at/above the supremum of a bounded Phi.
         """
         raise NotImplementedError
 
@@ -172,13 +172,15 @@ class Kernel:
         """
         return 0.5 * float(m @ self.w_phi(x[:, None] - x[None, :]) @ m)
 
-    def _check_inv_range(self, y: float) -> None:
-        if y < 0.0:
-            raise KernelRangeError(f"inverse primitive needs y >= 0, got {y}")
-        if y > 0.0 and y >= self.big_phi_sup:
-            raise KernelRangeError(
-                f"y={y} is outside the range of the primitive (sup={self.big_phi_sup})"
-            )
+    def _in_range(self, y) -> np.ndarray:
+        """``y`` as a float array, once every element lies in [0, sup Phi)."""
+        ya = np.asarray(y, dtype=float)
+        if np.any(below := ~(ya >= 0.0)):  # NaN too
+            raise KernelRangeError(f"inverse primitive needs y >= 0, got {ya[below][0]}")
+        if np.any(above := (ya > 0.0) & (ya >= self.big_phi_sup)):
+            raise KernelRangeError(f"y={ya[above][0]} is outside the range of the primitive "
+                                   f"(sup={self.big_phi_sup})")
+        return ya
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,8 @@ class Zero(Kernel):
     def big_phi_sup(self) -> float:
         return 0.0
 
-    def inv_big_phi(self, y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        raise KernelRangeError("the zero kernel has an identically zero primitive")
+    def inv_big_phi(self, y):
+        return _maybe_scalar(y, np.zeros_like(self._in_range(y)))  # range {0}
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,8 @@ class AllToAll(Kernel):
     def big_phi_sup(self) -> float:
         return math.inf
 
-    def inv_big_phi(self, y: float) -> float:
-        self._check_inv_range(y)
-        return y / self.K
+    def inv_big_phi(self, y):
+        return _maybe_scalar(y, self._in_range(y) / self.K)
 
 
 @dataclass(frozen=True)
@@ -321,13 +320,12 @@ class PowerLaw(Kernel):
     def reciprocal_phi_integrable_at_zero(self) -> bool:
         return True
 
-    def inv_big_phi(self, y: float) -> float:
-        self._check_inv_range(y)
+    def inv_big_phi(self, y):
+        ya = self._in_range(y)
         phiR = (self.c / (1.0 - self.beta)) * self.R ** (1.0 - self.beta)
-        if y <= phiR:
-            return ((1.0 - self.beta) * y / self.c) ** (1.0 / (1.0 - self.beta))
-        cR = self.c * self.R ** (-self.beta)
-        return self.R - math.log1p(-(y - phiR) / cR)
+        head = ((1.0 - self.beta) * ya / self.c) ** (1.0 / (1.0 - self.beta))
+        tail = self.R - np.log1p(-(np.maximum(ya, phiR) - phiR) / (self.c * self.R ** (-self.beta)))
+        return _maybe_scalar(y, np.where(ya <= phiR, head, tail))
 
 
 @dataclass(frozen=True)
@@ -380,9 +378,8 @@ class Exponential(Kernel):
     def big_phi_sup(self) -> float:
         return self.a
 
-    def inv_big_phi(self, y: float) -> float:
-        self._check_inv_range(y)
-        return -math.log1p(-y / self.a)
+    def inv_big_phi(self, y):
+        return _maybe_scalar(y, -np.log1p(-self._in_range(y) / self.a))
 
 
 @dataclass(frozen=True)
@@ -418,11 +415,11 @@ class CompactBump(Kernel):
     def big_phi_sup(self) -> float:
         return self.height * self.radius
 
-    def inv_big_phi(self, y: float) -> float:
-        self._check_inv_range(y)
-        if y == 0.0:
-            return 0.0
-        return y / self.height
+    def inv_big_phi(self, y):
+        ya = self._in_range(y)
+        # y = 0 is the only point of range when height = 0, and 0 / 0 is no inverse
+        return _maybe_scalar(y, np.divide(ya, self.height, out=np.zeros_like(ya),
+                                          where=ya != 0.0))
 
 
 _FAMILIES = {

@@ -44,7 +44,7 @@ import numpy as np
 from .dynamics import SimulationRecord, Tolerances, simulate
 from .ensemble import _block_sums
 from .exceptions import InvalidScenarioError
-from .flux import FluxAnalysis, Regime, build_flux, flocking_thresholds
+from .flux import FluxAnalysis, Regime, _pair_thresholds, build_flux
 from .kernels import Kernel
 from .metrics import energy, velocity_semidistance, wasserstein
 from .monotone import PiecewiseLinear, project_monotone
@@ -216,13 +216,17 @@ def check_conservation(record: SimulationRecord) -> CheckResult:
 
     Exact mass: every snapshot keeps the initial cell masses and every cluster
     mass is its cells' ``np.sum`` (totals summed in another order may differ
-    in the last bit)."""
+    in the last bit).  A snapshot with the starts and cluster masses of the
+    one before passes as that one did, so only a changed partition is pooled."""
     m, p0 = record.initial.cell_masses, record.initial.momentum()
-    counts = [s.n_clusters for s in record.snapshots]
+    snaps = record.snapshots
+    counts = [s.n_clusters for s in snaps]
     exact = all(np.array_equal(s.cell_masses, m)
-                and np.array_equal(s.masses, _block_sums(s.cell_masses, s.starts))
-                for s in record.snapshots)
-    momenta = np.array([s.momentum() for s in record.snapshots])
+                and (k > 0 and np.array_equal(s.starts, snaps[k - 1].starts)
+                     and np.array_equal(s.masses, snaps[k - 1].masses)
+                     or np.array_equal(s.masses, _block_sums(s.cell_masses, s.starts)))
+                for k, s in enumerate(snaps))
+    momenta = np.array([s.momentum() for s in snaps])
     worst = float(np.max(np.abs(momenta - p0), initial=0.0))  # a NaN propagates
     if not exact or any(b > a for a, b in zip(counts, counts[1:])):
         worst = math.inf
@@ -248,36 +252,34 @@ def check_flocking(record: SimulationRecord, analysis: FluxAnalysis) -> CheckRes
     For each adjacent subgroup pair: a thin-tail pair's center-of-mass gap
     must grow at least linearly at the predicted rate; a fat-tail pair's
     outer-edge distance, once below the upper threshold, must stay below it
-    at the final time.  Details carry one observation dict per pair.
+    at the final time.  All pairs are evaluated at once, as arrays over
+    snapshots and pairs.  Details carry one observation dict per pair.
     """
-    groups = analysis.subgroups
-    if len(groups) < 2:
+    groups = np.arange(len(analysis.subgroups))
+    if groups.size < 2:
         raise InvalidScenarioError("flocking check needs at least two subgroups")
+    rate, _, upper, thin = _pair_thresholds(analysis, groups[:-1], groups[1:])
     # cell positions at every snapshot time; subgroups tile the cells in order
     x = np.stack([s.positions[s.lineage] for s in record.snapshots])
     m = record.initial.cell_masses
-    starts = [sg.cells[0] for sg in groups]
-    centers = np.add.reduceat(m * x, starts, axis=1) / np.add.reduceat(m, starts)
-    worst = 0.0
-    observations = []
-    for i in range(len(groups) - 1):
-        th = flocking_thresholds(analysis, i, i + 1)
-        obs = {"pair": (i, i + 1), "regime": th.regime.value}
-        if th.regime is Regime.THIN_TAIL_DIVERGE:
-            gaps = centers[:, i + 1] - centers[:, i]
-            residual = float(np.max(gaps[0] + th.rate * record.times - gaps))
-            obs["min_margin"] = -residual
-        else:
-            edge = x[:, groups[i + 1].cells[1] - 1] - x[:, starts[i]]
-            obs["final_distance"] = float(edge[-1])
-            if th.upper is None:
-                residual = 0.0  # velocity gap beyond the primitive's range: no bound
-            else:
-                residual = float(edge[-1] - th.upper) if np.any(edge <= th.upper) else 0.0
-                obs["upper"] = th.upper
-        worst = max(worst, residual)
+    edges = np.searchsorted(analysis.A.nodes, analysis.A_star_star.nodes)
+    centers = np.add.reduceat(m * x, edges[:-1], axis=1) / np.add.reduceat(m, edges[:-1])
+    gaps = np.diff(centers, axis=1)
+    shortfall = np.max(gaps[0] + rate * record.times[:, None] - gaps, axis=0)
+    spread = x[:, edges[2:] - 1] - x[:, edges[:-2]]  # outer edges of each pair
+    escape = np.where(np.any(spread <= upper, axis=0), spread[-1] - upper, 0.0)
+    residual = np.where(thin, shortfall, escape)
+    observations, diverge, bound = [], Regime.THIN_TAIL_DIVERGE.value, Regime.FAT_TAIL_BOUND.value
+    for i, (is_thin, r, final, up) in enumerate(zip(thin.tolist(), residual.tolist(),
+                                                    spread[-1].tolist(), upper.tolist())):
+        if is_thin:
+            obs = {"pair": (i, i + 1), "regime": diverge, "min_margin": -r}
+        else:  # no "upper" where the velocity gap leaves the primitive's range: no bound
+            obs = {"pair": (i, i + 1), "regime": bound, "final_distance": final}
+            if not math.isnan(up):
+                obs["upper"] = up
         observations.append(obs)
-    return _result("flocking", worst, 1e-6, details=observations)
+    return _result("flocking", np.max(residual, initial=0.0), 1e-6, details=observations)
 
 
 # -- refinement convergence ---------------------------------------------

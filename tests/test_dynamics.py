@@ -569,12 +569,12 @@ def test_snapshot_grid():
 def test_lookup_helpers():
     ens = two_body(0.5, -1.0, 1.0, 0.5, 1.0, -1.0, Zero())
     rec = simulate(ens, Zero(), 2.0, 0.5)
-    assert rec.index_at(1.5) == 3
+    assert rec.snapshot_at(1.5) is rec.snapshots[3]
     assert rec.snapshot_at(0.0) is rec.snapshots[0]
     assert rec.snapshot_at(2.0).bounds.tolist() == [0, 2]
     assert rec.snapshot_at(0.5).bounds.tolist() == [0, 1, 2]
     with pytest.raises(KeyError):
-        rec.index_at(0.3)
+        rec.snapshot_at(0.3)
 
 
 def test_accumulators(rng):

@@ -20,6 +20,7 @@ from stickyalign import (
     kernel_from_config,
     kernel_to_config,
 )
+from tests.conftest import KERNEL_POOL
 
 ALL_KERNELS = [
     Zero(),
@@ -185,6 +186,60 @@ def test_power_law_inverse_both_branches():
 def test_inverse_rejects_out_of_range(kernel, bad):
     with pytest.raises(KernelRangeError):
         kernel.inv_big_phi(bad)
+
+
+def _inverse_by_math(kernel, y):
+    """The closed-form inverse in scalar ``math``, independent of numpy's rounding."""
+    if isinstance(kernel, Zero):
+        return 0.0
+    if isinstance(kernel, AllToAll):
+        return y / kernel.K
+    if isinstance(kernel, Exponential):
+        return -math.log1p(-y / kernel.a)
+    if isinstance(kernel, CompactBump):
+        return y / kernel.height
+    c, beta, R = kernel.c, kernel.beta, kernel.R
+    phiR = (c / (1.0 - beta)) * R ** (1.0 - beta)
+    if y <= phiR:
+        return ((1.0 - beta) * y / c) ** (1.0 / (1.0 - beta))
+    return R - math.log1p(-(y - phiR) / (c * R ** (-beta)))
+
+
+def _below_sup(kernel):
+    """Strategy for y in [0, sup Phi), and the largest such y drawn on purpose."""
+    sup = kernel.big_phi_sup
+    if sup == 0.0:
+        return st.just(0.0), 0.0
+    top = math.nextafter(sup, 0.0) if math.isfinite(sup) else 1e300
+    return st.floats(0.0, top), top
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=st.sampled_from(KERNEL_POOL), data=st.data())
+def test_inverse_array_form_matches_scalar_form(kernel, data):
+    ys, top = _below_sup(kernel)
+    y = np.array([0.0, top, *data.draw(st.lists(ys, max_size=30))])
+    got = kernel.inv_big_phi(y)
+    assert isinstance(got, np.ndarray) and got.shape == y.shape
+    scalar = [kernel.inv_big_phi(float(v)) for v in y]
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_array_max_ulp(got, np.array(scalar), maxulp=2)
+    np.testing.assert_array_max_ulp(got, np.array([_inverse_by_math(kernel, v) for v in y]),
+                                    maxulp=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=st.sampled_from(KERNEL_POOL), data=st.data())
+def test_inverse_array_rejects_one_out_of_range_element(kernel, data):
+    ys, _ = _below_sup(kernel)
+    y = data.draw(st.lists(ys, max_size=10))
+    bad = st.floats(max_value=-math.ulp(0.0)) | st.just(math.nan)
+    sup = kernel.big_phi_sup
+    if math.isfinite(sup):
+        bad |= st.floats(min_value=sup, exclude_min=sup == 0.0, allow_nan=False)
+    y.insert(data.draw(st.integers(0, len(y))), data.draw(bad))
+    with pytest.raises(KernelRangeError):
+        kernel.inv_big_phi(np.array(y))
 
 
 # -- structural properties (hypothesis) ---------------------------------

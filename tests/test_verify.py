@@ -299,6 +299,23 @@ class TestConservation:
         res = check_conservation(dataclasses.replace(mixed_record, snapshots=snaps))
         assert not res.passed and np.isnan(res.residual)
 
+    def test_repeated_partition_is_still_pooled(self):
+        # a rarefaction keeps its partition, so the check pools the first
+        # snapshot only and compares each later one with the one before
+        kernel = Exponential(1.0)
+        rng = np.random.default_rng(5)
+        ens = Ensemble.from_particles(dyadic_masses(rng, 20), np.sort(rng.normal(size=20)),
+                                      np.sort(rng.normal(size=20)), kernel)
+        rec = simulate(ens, kernel, 2.0, 0.5)
+        assert all(np.array_equal(s.starts, ens.starts) for s in rec.snapshots)
+        assert check_conservation(rec).passed
+        last = rec.snapshots[-1]
+        masses = last.masses.copy()
+        masses[0] = np.nextafter(masses[0], 1.0)
+        snaps = rec.snapshots[:-1] + [dataclasses.replace(last, masses=masses)]
+        res = check_conservation(dataclasses.replace(rec, snapshots=snaps))
+        assert not res.passed and res.residual == np.inf
+
     def test_cluster_count_increase_fails(self):
         kernel = Zero()
         ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [0.0, 0.0], kernel)
@@ -365,6 +382,17 @@ class TestFlocking:
         assert not res.passed
         assert res.residual == pytest.approx(2.0)  # missed 2 units of growth
 
+    def test_gap_beyond_the_primitive_has_no_upper_bound(self):
+        # gap / span = 1.5 >= sup Phi = 1 (and gap < l1 = 2): the escape that
+        # fails test_escaping_fat_tail_pair_fails is bounded by nothing here
+        kernel = Exponential(1.0)
+        ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [-0.75, 0.75], kernel)
+        blown = ens.evolved(np.array([-1.5, 1.5]), ens.velocities)
+        res = check_flocking(fabricated(kernel, [ens, blown], [0.0, 1.0]), analyze(ens, kernel))
+        assert res.passed and res.residual == 0.0
+        assert res.details == ({"pair": (0, 1), "regime": "FatTailBound",
+                                "final_distance": 3.0},)
+
     def test_needs_two_subgroups(self):
         kernel = Zero()
         ens = ensemble_with_psi([0.5, 0.5], [-1.0, 1.0], [1.0, -1.0], kernel)
@@ -404,6 +432,22 @@ def _flocking_by_pairs(record, analysis):
     return worst, observations
 
 
+def _assert_matches_by_pairs(record, analysis):
+    """check_flocking agrees with :func:`_flocking_by_pairs`; returns the regimes seen."""
+    res = check_flocking(record, analysis)
+    worst, observations = _flocking_by_pairs(record, analysis)
+    assert res.residual == pytest.approx(worst, rel=0.0, abs=1e-12)
+    assert len(res.details) == len(observations)
+    for got, want in zip(res.details, observations):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+            else:
+                assert got[key] == value
+    return {want["regime"] for want in observations}
+
+
 def test_flocking_matches_the_per_pair_formula(rng):
     regimes = set()
     for _ in range(16):
@@ -411,20 +455,25 @@ def test_flocking_matches_the_per_pair_formula(rng):
         analysis = analyze(ens, kernel)
         if len(analysis.subgroups) < 2:
             continue
-        rec = simulate(ens, kernel, 2.0, 0.5)
-        res = check_flocking(rec, analysis)
-        worst, observations = _flocking_by_pairs(rec, analysis)
-        assert res.residual == pytest.approx(worst, rel=0.0, abs=1e-12)
-        assert len(res.details) == len(observations)
-        for got, want in zip(res.details, observations):
-            assert got.keys() == want.keys()
-            for key, value in want.items():
-                if isinstance(value, float):
-                    assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12)
-                else:
-                    assert got[key] == value
-            regimes.add(want["regime"])
+        regimes |= _assert_matches_by_pairs(simulate(ens, kernel, 2.0, 0.5), analysis)
     assert regimes == {"ThinTailDiverge", "FatTailBound"}
+
+
+@pytest.mark.parametrize("kernel", [Exponential(1.0), PowerLaw(1.0, 0.5, 1.0)], ids=repr)
+def test_flocking_on_300_subgroups_matches_the_per_pair_formula(kernel):
+    # nondecreasing velocities keep every cell its own subgroup; the jump of 7
+    # exceeds both kernels' l1 norm, so one of the 299 pairs is thin-tailed
+    rng = np.random.default_rng(7)
+    v = np.sort(rng.normal(scale=0.5, size=300))
+    v[150:] += 7.0
+    ens = Ensemble.from_particles(dyadic_masses(rng, 300), np.sort(rng.normal(size=300)), v,
+                                  kernel)
+    analysis = analyze(ens, kernel)
+    assert len(analysis.subgroups) == 300
+    rec = simulate(ens, kernel, 2.0, 0.5)
+    assert _assert_matches_by_pairs(rec, analysis) == {"ThinTailDiverge", "FatTailBound"}
+    bounded = [d for d in check_flocking(rec, analysis).details if d["regime"] == "FatTailBound"]
+    assert 0 < sum("upper" in d for d in bounded) < len(bounded)
 
 
 # -- convergence study ---------------------------------------------------
