@@ -8,7 +8,6 @@ from .exceptions import (
     KernelRangeError,
     NumericalAbortError,
     RecordIOError,
-    SingularKernelError,
     StickyAlignError,
 )
 from .kernels import (

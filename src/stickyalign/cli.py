@@ -47,7 +47,7 @@ from .exceptions import (
     StickyAlignError,
 )
 from .flux import analyze
-from .kernels import Kernel, kernel_from_config
+from .kernels import Kernel, _real, kernel_from_config
 from .records import RECORD_FILES, _write_table, load_record, save_flux_analysis, save_record
 from .verify import check_flocking, convergence_study, report_json, verify_record
 
@@ -101,20 +101,19 @@ def _parse_tolerances(cfg: dict) -> Tolerances | None:
     if not isinstance(tols, dict) or set(tols) - {"atol", "rtol"}:
         raise ConfigError("'tolerances' takes only 'atol' and 'rtol'")
     try:
-        return Tolerances(atol=float(tols.get("atol", Tolerances.atol)),
-                          rtol=float(tols.get("rtol", Tolerances.rtol)))
-    except (TypeError, ValueError) as exc:
+        return Tolerances(atol=_real(tols.get("atol", Tolerances.atol), "atol"),
+                          rtol=_real(tols.get("rtol", Tolerances.rtol), "rtol"))
+    except ValueError as exc:
         raise ConfigError(f"bad tolerances: {exc}") from exc
 
 
 def _float_array(obj, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a list of numbers") from exc
-    if arr.ndim != 1 or arr.size == 0:
+    if not (isinstance(obj, list) and obj):
         raise ConfigError(f"{what} must be a nonempty list of numbers")
-    return arr
+    try:
+        return np.array([_real(e, f"every entry of {what}") for e in obj])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _sampler_particles(sampler: dict, n: int, seed: int | None):
@@ -137,8 +136,9 @@ def _sampler_particles(sampler: dict, n: int, seed: int | None):
             raise ConfigError("sampler seed must be a non-negative integer")
         defaults = {"x_loc": 0.0, "x_scale": 1.0, "v_loc": 0.0, "v_scale": 1.0}
         try:
-            x_loc, x_scale, v_loc, v_scale = (float(sampler.get(k, d)) for k, d in defaults.items())
-        except (TypeError, ValueError) as exc:
+            x_loc, x_scale, v_loc, v_scale = (_real(sampler.get(k, d), k)
+                                              for k, d in defaults.items())
+        except ValueError as exc:
             raise ConfigError(f"gaussian profile parameters must be numbers: {exc}") from exc
         if not np.all(np.isfinite([x_loc, x_scale, v_loc, v_scale])) or min(x_scale, v_scale) < 0:
             raise ConfigError("gaussian x_loc, v_loc must be finite; x_scale, v_scale finite, >= 0")
@@ -196,11 +196,11 @@ def _build_ensemble(cfg: dict, kernel: Kernel, seed: int | None, quiet: bool,
 
 def _parse_time_grid(cfg: dict) -> tuple[float, float]:
     try:
-        t_end = float(cfg["t_end"])
-        snapshot_dt = float(cfg["snapshot_dt"])
+        t_end = _real(cfg["t_end"], "t_end")
+        snapshot_dt = _real(cfg["snapshot_dt"], "snapshot_dt")
     except KeyError as exc:
         raise ConfigError(f"config needs {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad time grid: {exc}") from exc
     if not (0.0 < t_end < np.inf and 0.0 < snapshot_dt < np.inf):
         raise ConfigError("'t_end' and 'snapshot_dt' must be finite and positive")

@@ -394,7 +394,7 @@ class SimulationRecord:
 
     def snapshot_at(self, t: float) -> Ensemble:
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+        if not abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t)):  # NaN too
             raise KeyError(f"{t} is not a snapshot time")
         return self.snapshots[k]
 

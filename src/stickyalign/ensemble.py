@@ -167,22 +167,6 @@ class Ensemble:
         """Cell index -> cluster index (read-only, derived from ``starts``)."""
         return _frozen(np.repeat(np.arange(self.n_clusters), np.diff(self.bounds)), np.intp)
 
-    def validate(self) -> None:
-        """Re-check all structural invariants; raise on violation."""
-        _checked_cells(self.cell_masses, self.cell_positions, self.cell_velocities)
-        if np.any(np.diff(self.positions) <= 0.0):
-            raise InvalidEnsembleError("cluster positions must be strictly increasing")
-        if (self.starts.size != self.n_clusters or self.starts[:1].tolist() != [0]
-                or np.any(np.diff(self.bounds) <= 0)):
-            raise InvalidEnsembleError("starts must begin at 0 and increase strictly "
-                                       "below n_cells, one per cluster")
-        mass = _block_sums(self.cell_masses, self.starts)
-        if np.any(np.abs(mass - self.masses) > 1e-12):
-            raise InvalidEnsembleError("cluster mass must pool its cells")
-        pooled = _block_sums(self.cell_masses * self.cell_psi, self.starts) / mass
-        if np.any(np.abs(pooled - self.psi) > 1e-12 * (1.0 + np.abs(pooled))):
-            raise InvalidEnsembleError("cluster psi must be the pooled cell psi")
-
     # -- evolution helpers ----------------------------------------------
 
     def evolved(self, positions, velocities) -> "Ensemble":

@@ -5,10 +5,6 @@ class StickyAlignError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularKernelError(StickyAlignError):
-    """A weakly singular kernel was evaluated at its singular point (r = 0)."""
-
-
 class KernelRangeError(StickyAlignError):
     """Inverse primitive requested outside the range of the bounded primitive."""
 

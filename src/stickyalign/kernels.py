@@ -43,11 +43,12 @@ share between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .exceptions import KernelRangeError, SingularKernelError
+from .exceptions import KernelRangeError
 
 __all__ = [
     "Kernel",
@@ -84,6 +85,11 @@ def _exp_prefix(x, m):
     return mass, decayed
 
 
+def _stable_order(x):
+    """Indices that sort ``x`` stably; a plain slice when it is nondecreasing."""
+    return slice(None) if (x[1:] >= x[:-1]).all() else np.argsort(x, kind="stable")
+
+
 def _maybe_scalar(x, out):
     """Return ``out`` as a python float when the input was scalar."""
     if np.ndim(x) == 0:
@@ -93,31 +99,22 @@ def _maybe_scalar(x, out):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Base class; concrete families implement the four evaluations.
+    """Base class; concrete families implement three evaluations, Phi, W and
+    the inverse of Phi.  The pointwise kernel phi is never evaluated.
 
     Subclasses provide:
 
-    phi(r)
-        pointwise kernel value (vectorized, even in r).
     big_phi(x)
         odd primitive Phi with Phi(0) = 0, nondecreasing, concave on x >= 0.
     w_phi(x)
         even convex potential W with W(0) = 0 and W' = Phi.
     inv_big_phi(y)
-        the x >= 0 with Phi(x) = y, for y in [0, sup Phi) (vectorized).
+        the x >= 0 with Phi(x) = y, elementwise; ``KernelRangeError`` if any
+        ``y`` is negative, NaN, or at/above the supremum of a bounded Phi.
 
     and the tail/origin descriptors ``big_phi_sup``, ``phi_l1_norm``,
     ``reciprocal_phi_integrable_at_zero``.
     """
-
-    def phi(self, r):
-        raise NotImplementedError
-
-    def big_phi(self, x):
-        raise NotImplementedError
-
-    def w_phi(self, x):
-        raise NotImplementedError
 
     @property
     def big_phi_sup(self) -> float:
@@ -145,16 +142,6 @@ class Kernel:
         flag is False by convention (Phi vanishes identically).
         """
         return False
-
-    def inv_big_phi(self, y):
-        """Inverse of the primitive on [0, sup Phi), elementwise.
-
-        Raises
-        ------
-        KernelRangeError
-            if any ``y`` is negative, or at/above the supremum of a bounded Phi.
-        """
-        raise NotImplementedError
 
     def convolve(self, positions, masses) -> np.ndarray:
         """(Phi * rho)(x_i) = sum_j m_j Phi(x_i - x_j) at each particle x_i.
@@ -187,9 +174,6 @@ class Kernel:
 class Zero(Kernel):
     """No communication: free transport with sticky collisions."""
 
-    def phi(self, r):
-        return _maybe_scalar(r, np.zeros_like(np.asarray(r, dtype=float)))
-
     def big_phi(self, x):
         return _maybe_scalar(x, np.zeros_like(np.asarray(x, dtype=float)))
 
@@ -219,9 +203,6 @@ class AllToAll(Kernel):
     def __post_init__(self):
         if not 0.0 < self.K < math.inf:
             raise ValueError(f"K must be positive and finite, got {self.K}")
-
-    def phi(self, r):
-        return _maybe_scalar(r, np.full_like(np.asarray(r, dtype=float), self.K))
 
     def big_phi(self, x):
         return _maybe_scalar(x, self.K * np.asarray(x, dtype=float))
@@ -272,16 +253,6 @@ class PowerLaw(Kernel):
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
         if not self.R > 0.0:
             raise ValueError(f"R must be positive, got {self.R}")
-
-    def phi(self, r):
-        ra = np.abs(np.asarray(r, dtype=float))
-        if np.any(ra == 0.0):
-            raise SingularKernelError(
-                "power-law kernel is singular at r=0; the dynamics must use big_phi"
-            )
-        core = self.c * np.minimum(ra, self.R) ** (-self.beta)
-        tail = np.exp(-np.maximum(ra - self.R, 0.0))
-        return _maybe_scalar(r, core * tail)
 
     def big_phi(self, x):
         # sign(x) (head + tail) in two buffers, each ufunc rounding as in the
@@ -338,10 +309,6 @@ class Exponential(Kernel):
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"a must be positive and finite, got {self.a}")
 
-    def phi(self, r):
-        ra = np.abs(np.asarray(r, dtype=float))
-        return _maybe_scalar(r, self.a * np.exp(-ra))
-
     def big_phi(self, x):
         xa = np.asarray(x, dtype=float)
         return _maybe_scalar(x, np.sign(xa) * self.a * (-np.expm1(-np.abs(xa))))
@@ -354,9 +321,8 @@ class Exponential(Kernel):
     def convolve(self, positions, masses) -> np.ndarray:
         # Phi(d) = a sign(d) (1 - e^-|d|): the masses before and after each sorted
         # point less their e^-|d| weights, where a coincident pair adds m - m e^0 = 0
-        x = positions
-        order = slice(None) if (x[1:] >= x[:-1]).all() else np.argsort(x, kind="stable")
-        x, m = x[order], masses[order]
+        order = _stable_order(positions)
+        x, m = positions[order], masses[order]
         left, near_left = _exp_prefix(x, m)
         right, near_right = _exp_prefix(-x[::-1], m[::-1])
         out = np.empty_like(x)
@@ -368,7 +334,7 @@ class Exponential(Kernel):
         # positions; sum_{i<j} m_i m_j (x_j - x_i) counts each gap
         # x_k - x_(k-1) once per pair it separates (the mass before x_k times
         # the mass from x_k on), so it has only positive terms
-        order = np.argsort(x, kind="stable")
+        order = _stable_order(x)
         x, m = x[order], m[order]
         mass_left, near_left = _exp_prefix(x, m)
         spread = np.diff(x) @ (mass_left[1:] * np.cumsum(m[:0:-1])[::-1])
@@ -394,10 +360,6 @@ class CompactBump(Kernel):
             raise ValueError(f"radius must be positive, got {self.radius}")
         if not 0.0 <= self.height < math.inf:
             raise ValueError(f"height must be nonnegative and finite, got {self.height}")
-
-    def phi(self, r):
-        ra = np.abs(np.asarray(r, dtype=float))
-        return _maybe_scalar(r, np.where(ra <= self.radius, self.height, 0.0))
 
     def big_phi(self, x):
         xa = np.asarray(x, dtype=float)
@@ -431,6 +393,13 @@ _FAMILIES = {
 }
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool or a string is no number (``ValueError``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def kernel_from_config(cfg: dict) -> Kernel:
     """Build a kernel from its JSON configuration, e.g.
 
@@ -446,9 +415,8 @@ def kernel_from_config(cfg: dict) -> Kernel:
     extra = set(cfg) - {"type"} - set(names)
     if extra:
         raise ValueError(f"unexpected kernel fields for {name!r}: {sorted(extra)}")
-    kwargs = {f: float(cfg[f]) for f in names if f in cfg}
     try:
-        return cls(**kwargs)
+        return cls(**{f: _real(cfg[f], f) for f in names if f in cfg})
     except ValueError as exc:
         raise ValueError(f"bad kernel parameters for {name!r}: {exc}") from exc
 

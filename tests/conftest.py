@@ -1,5 +1,6 @@
-"""Shared scenario generators, and the oracles that fast paths are tested against:
-the hull sweep for the envelope and the unfiltered vector contact trigger.
+"""Shared scenario generators, the ensemble invariants, and the oracles that fast
+paths are tested against: the hull sweep for the envelope and the unfiltered
+vector contact trigger.
 
 Masses are built as dyadic rationals (integer / 2**20) summing to exactly one:
 every partial sum and every pooled cluster mass is then exactly representable,
@@ -18,6 +19,7 @@ from stickyalign import (
     PowerLaw,
     Zero,
 )
+from stickyalign.ensemble import _block_sums
 
 MASS_DENOM_POW = 20
 
@@ -67,6 +69,20 @@ def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
                                cluster_positions=ens.positions, cluster_velocities=None)
     assert np.array_equal(exact.cell_psi, psi)
     return exact
+
+
+def validate_ensemble(ens: Ensemble) -> None:
+    """Assert the invariants every ensemble keeps: strictly increasing cluster
+    positions, ``starts`` that begin at 0 and increase strictly below the cell
+    count, one per cluster, and cluster mass and psi bit-equal to the pools of
+    their cells."""
+    assert np.all(np.diff(ens.positions) > 0.0), "cluster positions must increase strictly"
+    assert (ens.starts.size == ens.n_clusters and ens.starts[:1].tolist() == [0]
+            and np.all(np.diff(ens.bounds) > 0)), f"malformed starts {ens.starts}"
+    mass = _block_sums(ens.cell_masses, ens.starts)
+    assert mass.tobytes() == ens.masses.tobytes(), "cluster mass must pool its cells"
+    psi = _block_sums(ens.cell_masses * ens.cell_psi, ens.starts) / mass
+    assert psi.tobytes() == ens.psi.tobytes(), "cluster psi must pool its cells"
 
 
 def cell_ranges(snapshot: Ensemble) -> list[tuple[int, int]]:

@@ -225,6 +225,21 @@ def _gaussian(**params):
     lambda c: dict(c, tolerances={"rtol": -1e-9}),
     lambda c: dict(c, tolerances={"atol": 1e400}),
     _gaussian(N=True),  # a JSON bool is not a size
+    # nor is a bool or a string a number
+    lambda c: dict(c, t_end=True),
+    lambda c: dict(c, t_end="2"),
+    lambda c: dict(c, snapshot_dt=True),
+    lambda c: dict(c, tolerances={"atol": True}),
+    lambda c: dict(c, tolerances={"rtol": "1e-9"}),
+    lambda c: dict(c, kernel={"type": "exponential", "a": True}),
+    lambda c: dict(c, kernel={"type": "compact_bump", "radius": "1"}),
+    _gaussian(x_loc=True),
+    _gaussian(x_scale="2"),
+    _gaussian(v_loc=False),
+    _gaussian(v_scale=True),
+    lambda c: dict(c, particles=dict(c["particles"], masses=["0.5", 0.5])),
+    lambda c: dict(c, particles=dict(c["particles"], velocities=[True, False])),
+    lambda c: dict(c, particles=dict(c["particles"], positions=[[-1.0], [1.0]])),
 ])
 def test_simulate_config_errors(tmp_path, mangle, capsys):
     cfg = write_config(tmp_path, mangle(dict(HEAD_ON)))

@@ -28,7 +28,7 @@ from stickyalign.dynamics import (_A, _E, _ROWS, _attempt, _cascade, _error_norm
                                   _first_trigger, _hermite, drift, step)
 from stickyalign.verify import verify_record
 from tests.conftest import (dyadic_masses, first_trigger_unfiltered, random_scenario,
-                            sweep_envelope)
+                            sweep_envelope, validate_ensemble)
 
 
 def two_body(m1, x1, v1, m2, x2, v2, kernel):
@@ -526,7 +526,7 @@ def test_conservation_laws(rng):
         for snap in rec.snapshots:
             assert float(np.sum(snap.masses)) == 1.0  # dyadic: exact
             assert snap.momentum() == pytest.approx(p0, abs=1e-10)
-            snap.validate()
+            validate_ensemble(snap)
 
 
 def test_mirror_symmetry():
@@ -573,8 +573,9 @@ def test_lookup_helpers():
     assert rec.snapshot_at(0.0) is rec.snapshots[0]
     assert rec.snapshot_at(2.0).bounds.tolist() == [0, 2]
     assert rec.snapshot_at(0.5).bounds.tolist() == [0, 1, 2]
-    with pytest.raises(KeyError):
-        rec.snapshot_at(0.3)
+    for t in (0.3, float("nan")):
+        with pytest.raises(KeyError):
+            rec.snapshot_at(t)
 
 
 def test_accumulators(rng):

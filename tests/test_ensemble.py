@@ -16,7 +16,7 @@ from stickyalign import (
     Zero,
 )
 from stickyalign.ensemble import _block_sums
-from tests.conftest import KERNEL_POOL, dyadic_masses, random_scenario
+from tests.conftest import KERNEL_POOL, dyadic_masses, random_scenario, validate_ensemble
 
 
 def test_natural_velocities_all_to_all_closed_form(rng):
@@ -52,7 +52,7 @@ class TestFromParticles:
         assert ens.n_cells == ens.n_clusters
         np.testing.assert_array_equal(ens.lineage, np.arange(ens.n_cells))
         np.testing.assert_array_equal(ens.positions, ens.cell_positions)
-        ens.validate()
+        validate_ensemble(ens)
 
     def test_mass_budget(self):
         with pytest.raises(InvalidEnsembleError, match="sum to 1"):
@@ -78,7 +78,7 @@ class TestFromParticles:
         np.testing.assert_array_equal(ens.lineage, [0, 0, 1])
         assert ens.velocities[0] == pytest.approx(1.0)  # mass-weighted pool
         assert ens.masses[0] == 0.5
-        ens.validate()
+        validate_ensemble(ens)
 
     def test_cell_arrays_read_only(self, rng):
         ens, _ = random_scenario(rng, 5)
@@ -98,7 +98,7 @@ class TestMerged:
         assert out.velocities[0] == pytest.approx(0.25 * 1 + 0.75 * -1)
         assert out.momentum() == pytest.approx(ens.momentum(), abs=1e-15)
         assert float(np.sum(out.masses)) == 1.0
-        out.validate()
+        validate_ensemble(out)
 
     def test_psi_pooled_from_cells_not_clusters(self, rng):
         """After two merge generations the cluster psi still equals the
@@ -210,20 +210,16 @@ def test_dyadic_masses_sum_exactly_one(rng):
 
 
 def test_validate_catches_corruption(rng):
+    """The invariants that ``validate_ensemble`` asserts fail on a corrupt
+    ensemble, so the tests that call it on real ones check something."""
     ens, _ = random_scenario(rng, 5)
-    bad = Ensemble(cell_masses=ens.cell_masses, cell_positions=ens.cell_positions,
-                   cell_velocities=ens.cell_velocities, cell_psi=ens.cell_psi,
-                   starts=ens.starts, masses=ens.masses,
-                   positions=np.zeros_like(ens.positions),  # ties everywhere
-                   velocities=ens.velocities, psi=ens.psi)
-    with pytest.raises(InvalidEnsembleError):
-        bad.validate()
-    bad = Ensemble(cell_masses=ens.cell_masses, cell_positions=ens.cell_positions,
-                   cell_velocities=ens.cell_velocities, cell_psi=ens.cell_psi,
-                   starts=ens.starts, masses=ens.masses * 2.0,
-                   positions=ens.positions, velocities=ens.velocities, psi=ens.psi)
-    with pytest.raises(InvalidEnsembleError):
-        bad.validate()
+    validate_ensemble(ens)
+    for field, value, match in (
+            ("positions", np.zeros_like(ens.positions), "positions"),  # ties everywhere
+            ("masses", ens.masses * 2.0, "mass"),
+            ("psi", np.nextafter(ens.psi, np.inf), "psi")):  # one ulp off
+        with pytest.raises(AssertionError, match=match):
+            validate_ensemble(dataclasses.replace(ens, **{field: value}))
 
 
 @pytest.mark.parametrize("starts", [[1, 2, 3], [0, 2, 2], [0, 3, 2], [0, 2, 4], [0, 2],
@@ -233,9 +229,9 @@ def test_validate_catches_corruption(rng):
 def test_validate_catches_corrupt_starts(starts):
     ens = Ensemble.from_particles([0.25] * 4, [0.0, 1.0, 2.0, 3.0], [0.0] * 4,
                                   Zero()).merged([(0, 2)])
-    ens.validate()
-    with pytest.raises(InvalidEnsembleError, match="starts"):
-        dataclasses.replace(ens, starts=np.array(starts)).validate()
+    validate_ensemble(ens)
+    with pytest.raises(AssertionError, match="starts"):
+        validate_ensemble(dataclasses.replace(ens, starts=np.array(starts)))
 
 
 # -- quantile view -------------------------------------------------------

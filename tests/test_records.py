@@ -24,7 +24,8 @@ from stickyalign.cli import EXIT_CONFIG_ERROR, EXIT_IO_ERROR, run_verify
 from stickyalign.ensemble import MASS_BUDGET_TOL
 from stickyalign.records import RECORD_FILES, _first_cover
 from stickyalign.verify import verify_record
-from tests.conftest import KERNEL_POOL, ensemble_with_psi, random_scenario, rewrite_record
+from tests.conftest import (KERNEL_POOL, ensemble_with_psi, random_scenario, rewrite_record,
+                            validate_ensemble)
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def _assert_same_record(back, rec):
         for field in ("positions", "velocities", "masses", "psi", "starts", "cell_masses",
                       "cell_positions", "cell_velocities", "cell_psi"):
             _assert_same_bits(getattr(got, field), getattr(orig, field))
-        got.validate()
+        validate_ensemble(got)
     assert back.events == rec.events  # a MergeEvent holds only stored fields
     _assert_same_bits(back.phi_integrals, rec.phi_integrals)
     _assert_same_bits(back.v2_integrals, rec.v2_integrals)
@@ -168,6 +169,14 @@ def test_unknown_kernel_family(eventful_record, tmp_path):
     (tmp_path / "metadata.json").write_text(json.dumps(meta))
     with pytest.raises(RecordIOError):
         load_record(tmp_path)
+
+
+def test_boolean_kernel_parameter(eventful_record, tmp_path, capsys):
+    save_record(eventful_record, tmp_path)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    meta["kernel"]["c"] = True  # float(True) is a valid c
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    _refused(tmp_path, capsys, "c must be a number", where="metadata.json")
 
 
 CELL_ROWS = {"masses": 0, "positions": 1, "velocities": 2, "psi": 3}
