@@ -342,15 +342,15 @@ def run_converge(config_path, out_dir, seed: int | None = None,
             raise ConfigError("'ns' must be strictly increasing (no duplicates)")
         if "sampler" not in cfg:
             raise ConfigError("converge needs a 'sampler' (a fixed profile to refine)")
-        if cfg["sampler"].get("profile") not in REFINABLE_PROFILES:
-            raise ConfigError("converge needs a deterministic profile "
-                              f"({' or '.join(REFINABLE_PROFILES)})")
 
         def sampler(n: int) -> Ensemble:
             return _build_ensemble(cfg, kernel, seed, quiet, n_override=n)
 
-        for n in ns:  # surface profile/size mismatches as config errors
+        for n in ns:  # surface a malformed sampler, or profile/size mismatches, as config errors
             sampler(n)
+        if cfg["sampler"].get("profile") not in REFINABLE_PROFILES:
+            raise ConfigError("converge needs a deterministic profile "
+                              f"({' or '.join(REFINABLE_PROFILES)})")
     except ConfigError as exc:
         _warn(False, str(exc))
         return EXIT_CONFIG_ERROR

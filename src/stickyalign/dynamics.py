@@ -88,6 +88,7 @@ _A = (
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 _ROWS = [np.array(row) for row in _A[1:] + (_E,)]
+_NO_EVENTS, _NO_CELLS = np.empty((0, 3)), np.empty((0, 2), dtype=np.int64)  # no merges
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class MergeEvent:
 
     ``first_index``/``last_index`` are inclusive *original cell* indices;
     ``post_velocity`` is the merged cluster's velocity and ``post_psi`` the
-    mass-weighted mean of its cell psi.  These five fields are all that
-    ``record.npz`` stores, so a loaded event equals the simulated one.
+    mass-weighted mean of its cell psi.  Records keep events as two arrays;
+    an event object is made only when their ``events`` view is read.
     """
 
     time: float
@@ -119,16 +120,28 @@ class MergeEvent:
     post_psi: float
 
 
+class _Events:
+    """Merge events as ``event_table``, float ``(E, 3)`` of ``t, post_velocity,
+    post_psi``, and ``event_cells``, int64 ``(E, 2)`` of ``first_index, last_index``."""
+
+    @property
+    def events(self) -> tuple[MergeEvent, ...]:
+        """Read-only view: one :class:`MergeEvent` per row, made when read."""
+        return tuple(MergeEvent(t, i, j, v, psi) for (t, v, psi), (i, j)
+                     in zip(self.event_table.tolist(), self.event_cells.tolist()))
+
+
 @dataclass(frozen=True)
-class StepResult:
-    """One accepted step.  ``rejected`` counts the trials the error control
-    refused first, ``capped`` says whether the time to the nearest contact
-    shortened the first trial, and ``rhs_evals`` counts the right-hand sides
-    evaluated: six per trial, one for the first stage unless it was handed
-    in, and one to localize an event."""
+class StepResult(_Events):
+    """One accepted step and its merge events.  ``rejected`` counts the trials
+    the error control refused first, ``capped`` says whether the time to the
+    nearest contact shortened the first trial, and ``rhs_evals`` counts the
+    right-hand sides evaluated: six per trial, one for the first stage unless
+    it was handed in, and one to localize an event."""
 
     ensemble: Ensemble
-    events: tuple[MergeEvent, ...]
+    event_table: np.ndarray
+    event_cells: np.ndarray
     dt_taken: float
     dt_next: float
     rejected: int
@@ -265,7 +278,8 @@ def _runs(pairs: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _cascade(ens: Ensemble, t_ev: float, eps: float):
-    """Resolve all contacts at one instant; returns (ensemble, events).
+    """Resolve all contacts at one instant; returns the ensemble and the
+    events' ``event_table`` and ``event_cells`` rows.
 
     The merge is the tangent-cone projection of the incoming velocities
     (Brenier & Grenier, SIAM J. Numer. Anal. 35, 1998; Natile & Savare, SIAM
@@ -273,7 +287,7 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
     across pairs in contact (gap <= 2 eps), after overlapping clusters (the
     level sets of the same fit of the positions) pool their velocities.  A
     run of pairs that overlap, or are in contact and do not come out strictly
-    increasing, merges once, conserving momentum, into one :class:`MergeEvent`.
+    increasing, merges once, conserving momentum, into one merge event.
     """
     m, x = ens.masses, ens.positions
     gaps = np.diff(x)
@@ -290,18 +304,14 @@ def _cascade(ens: Ensemble, t_ev: float, eps: float):
     v = project_monotone(v, m, contact)
     blocks = _runs(overlap | (contact & (v[:-1] >= v[1:])))
     if not blocks:
-        return ens, []
+        return ens, _NO_EVENTS, _NO_CELLS
 
     post = ens.merged(blocks)
     starts, stops = np.array(blocks).T
     firsts = ens.starts[starts]
-    lasts = ens.bounds[stops] - 1
-    events = [MergeEvent(time=t_ev, first_index=first, last_index=last,
-                         post_velocity=float(post.velocities[k]),
-                         post_psi=float(post.psi[k]))
-              for first, last, k in zip(firsts.tolist(), lasts.tolist(),
-                                        post.starts.searchsorted(firsts).tolist())]
-    return post, events
+    k = post.starts.searchsorted(firsts)
+    return (post, np.array(([t_ev] * k.size, post.velocities[k], post.psi[k])).T.copy(),
+            np.array((firsts, ens.bounds[stops] - 1), dtype=np.int64).T.copy())
 
 
 def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
@@ -360,20 +370,23 @@ def step(ensemble: Ensemble, kernel: Kernel, dt_max: float,
     s_star = _first_trigger(x0, k1, x1, k7, h, eps, s_tol)
     rhs_evals = 6 * (1 + rejected) + fresh
     if s_star is None:
-        return StepResult(ensemble.evolved(x1, k7), (), h, dt_next,
+        return StepResult(ensemble.evolved(x1, k7), _NO_EVENTS, _NO_CELLS, h, dt_next,
                           rejected, capped, rhs_evals)
 
     x_ev = _hermite(s_star, x0, k1, x1, k7, h)
     v_ev = rhs(x_ev)
-    post, events = _cascade(ensemble.evolved(x_ev, v_ev), t + s_star * h, eps)
-    return StepResult(post, tuple(events), s_star * h, dt_next,
+    post, table, cells = _cascade(ensemble.evolved(x_ev, v_ev), t + s_star * h, eps)
+    return StepResult(post, table, cells, s_star * h, dt_next,
                       rejected, capped, rhs_evals + 1)
 
 
 @dataclass
-class SimulationRecord:
+class SimulationRecord(_Events):
     """Snapshots, merge events, and verification integrals of one run.
 
+    Every snapshot shares ``initial``'s frozen cell arrays.  The merge events,
+    in time order, are ``event_table`` and ``event_cells`` as ``record.npz``
+    stores them; ``events`` reads them as :class:`MergeEvent` objects.
     ``phi_integrals[i]`` is the integral of (Phi * rho_s) along cell i's
     cluster trajectory up to the last snapshot time, the term of the
     projection formula; ``v2_integrals[k]`` is the integral of the
@@ -387,7 +400,8 @@ class SimulationRecord:
     initial: Ensemble
     times: np.ndarray
     snapshots: list[Ensemble]
-    events: list[MergeEvent]
+    event_table: np.ndarray
+    event_cells: np.ndarray
     phi_integrals: np.ndarray
     v2_integrals: np.ndarray
     stats: dict[str, int] = field(default_factory=dict)
@@ -441,7 +455,7 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
     state = ensemble
     times = [0.0]
     snaps = [state]
-    events: list[MergeEvent] = []
+    tables, cells = [_NO_EVENTS], [_NO_CELLS]
     v2_vals = [0.0]
 
     acc_phi = np.zeros(state.n_cells)
@@ -477,15 +491,16 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
             stats["rejected"] += res.rejected
             stats["rhs_evals"] += res.rhs_evals
             stats["capped"] += res.capped
-            stats["events"] += len(res.events)
+            stats["events"] += len(res.event_table)
             t_new = t + res.dt_taken
-            if res.events:
+            if len(res.event_table):
                 accumulate_to(t_new)
                 state_mark = res.ensemble
-                events.extend(res.events)
+                tables.append(res.event_table)
+                cells.append(res.event_cells)
             state = res.ensemble
             # without a merge the velocities are rhs(positions), the next k1
-            k1 = None if res.events else state.velocities
+            k1 = None if len(res.event_table) else state.velocities
             dt_hint = res.dt_next
             t = t_new
         accumulate_to(target)
@@ -494,7 +509,7 @@ def _integrate(ensemble: Ensemble, kernel: Kernel, t_end: float, snapshot_dt: fl
         snaps.append(state)
         v2_vals.append(acc_v2)
 
-    return SimulationRecord(kernel=kernel, initial=ensemble,
-                            times=np.array(times), snapshots=snaps, events=events,
-                            phi_integrals=acc_phi,
+    return SimulationRecord(kernel=kernel, initial=ensemble, times=np.array(times),
+                            snapshots=snaps, event_table=np.concatenate(tables),
+                            event_cells=np.concatenate(cells), phi_integrals=acc_phi,
                             v2_integrals=np.array(v2_vals), stats=stats)

@@ -120,32 +120,28 @@ class Ensemble:
         if not np.all(np.isfinite(psi)):
             raise InvalidEnsembleError("natural velocities must be finite")
         starts = np.flatnonzero(np.concatenate(([True], x[1:] > x[:-1])))
-        return Ensemble._assemble(m, x, v, psi, starts,
-                                  cluster_positions=x[starts], cluster_velocities=None)
+        return Ensemble._assemble(tuple(map(_frozen, (m, x, v, psi))), starts, x[starts])
 
     @staticmethod
-    def _assemble(cell_m, cell_x, cell_v, cell_psi, starts,
-                  cluster_positions, cluster_velocities) -> "Ensemble":
-        """Common path: pool every cluster's mass/psi from its cells.
+    def _assemble(cells, starts, positions, velocities=None, like=None) -> "Ensemble":
+        """The one builder: clusters ``starts`` at ``positions`` over ``cells``,
+        the frozen cell masses, positions, velocities and psi, shared, not copied.
 
-        ``cluster_velocities=None`` pools cell velocities too (construction
-        time); a loaded record passes its saved cluster velocities instead.
+        Cluster mass and psi are those of ``like`` when it has the same
+        ``starts``, else pooled from the cells with ``_block_sums``;
+        ``velocities=None`` pools the cell velocities too (construction time).
         """
-        cm = _block_sums(cell_m, starts)
-        cpsi = _block_sums(cell_m * cell_psi, starts) / cm
-        if cluster_velocities is None:
-            cluster_velocities = _block_sums(cell_m * cell_v, starts) / cm
-        return Ensemble(
-            cell_masses=_frozen(cell_m),
-            cell_positions=_frozen(cell_x),
-            cell_velocities=_frozen(cell_v),
-            cell_psi=_frozen(cell_psi),
-            starts=_frozen(starts, np.intp),
-            masses=_frozen(cm),
-            positions=_frozen(cluster_positions),
-            velocities=_frozen(cluster_velocities),
-            psi=_frozen(cpsi),
-        )
+        m, _, v, psi = cells
+        if like is not None and np.array_equal(like.starts, starts):
+            starts, cm, cpsi = like.starts, like.masses, like.psi
+        else:
+            cm = _frozen(_block_sums(m, starts))
+            cpsi = _frozen(_block_sums(m * psi, starts) / cm)
+            starts = _frozen(starts, np.intp)
+        if velocities is None:
+            velocities = _block_sums(m * v, starts) / cm
+        return Ensemble(*cells, starts=starts, masses=cm, positions=_frozen(positions),
+                        velocities=_frozen(velocities), psi=cpsi)
 
     # -- basic geometry -------------------------------------------------
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dynamics import EPS_CONTACT, MergeEvent, SimulationRecord, _snapshot_nodes, drift
+from .dynamics import EPS_CONTACT, SimulationRecord, _snapshot_nodes, drift
 from .ensemble import Ensemble, _block_sums
 from .kernels import AllToAll, Zero
 
@@ -29,8 +29,9 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
     after the last snapshot node are not merged, as the stepper stops there.
     A pair that a merge leaves within twice the contact floor, and not
     separating, merges at the same instant and is folded with that merge into
-    one :class:`MergeEvent`, as ``_cascade`` folds a contact run.  Snapshot
-    nodes re-pool their clusters from the initial ones with ``_block_sums``.
+    one event row, as ``_cascade`` folds a contact run.  A snapshot node keeps
+    the previous snapshot's cluster mass and psi if its clusters are the same,
+    else pools them from the initial cells with ``_block_sums``.
     """
     nodes = _snapshot_nodes(t_end, snapshot_dt)
     t_last = nodes[-1]
@@ -103,7 +104,7 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
             acc_v2 += dt * (total * psi_bar * psi_bar + a * a * w2)
             t_mark = t
 
-    events: list[MergeEvent | None] = []
+    events: list[tuple | None] = []  # rows (t, first_index, last_index, post_v, post_psi)
     opened: dict[int, tuple[float, int]] = {}  # cluster -> (time, index) of its merge
 
     def merge(c: int, t: float) -> None:
@@ -130,15 +131,15 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
         alive[r] = False
         version[r] += 1
         opened[c] = (t, len(events))
-        events.append(MergeEvent(
-            time=t, first_index=cells[c], last_index=cells[right[c]] - 1,
-            post_velocity=psi_bar + a * (mq[c] - k * my[c]) / mass[c],
-            post_psi=mpsi[c] / mass[c]))
+        events.append((t, cells[c], cells[right[c]] - 1,
+                       psi_bar + a * (mq[c] - k * my[c]) / mass[c], mpsi[c] / mass[c]))
         if left[c] >= 0:
             schedule(left[c], t, a, b, eps)
         schedule(c, t, a, b, eps)
 
     times, snaps, v2_vals = [0.0], [ensemble], [0.0]
+    cell_arrays = (ensemble.cell_masses, ensemble.cell_positions, ensemble.cell_velocities,
+                   ensemble.cell_psi)
 
     def snapshot(t: float) -> None:
         accumulate_to(t)
@@ -148,10 +149,7 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
         a, b = decay(t)
         x = x_bar + t * psi_bar + a * y + b * q
         # the velocities are the drift at x, set once masses and psi are pooled
-        snap = Ensemble._assemble(ensemble.cell_masses, ensemble.cell_positions,
-                                  ensemble.cell_velocities, ensemble.cell_psi,
-                                  ensemble.starts[heads], cluster_positions=x,
-                                  cluster_velocities=x)
+        snap = Ensemble._assemble(cell_arrays, ensemble.starts[heads], x, x, like=snaps[-1])
         times.append(t)
         snaps.append(snap.evolved(x, drift(snap, kernel)))
         v2_vals.append(acc_v2)
@@ -180,10 +178,10 @@ def _simulate_linear(ensemble: Ensemble, kernel: Zero | AllToAll, t_end: float,
         live = k * (y / mh * (int_a - born_a[heads]) + q / mh * (int_b - born_b[heads]))
         phi = np.cumsum(ramp)[:-1] + np.repeat(live, np.diff(snaps[-1].bounds))
 
-    merges = sorted((ev for ev in events if ev is not None),
-                    key=lambda ev: (ev.time, ev.first_index))
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "capped": 0, "events": len(merges)}
-    return SimulationRecord(kernel=kernel, initial=ensemble,
-                            times=np.array(times), snapshots=snaps, events=merges,
-                            phi_integrals=phi,
+    rows = np.array(sorted((r for r in events if r is not None), key=lambda r: r[:2]),
+                    dtype=float).reshape(-1, 5)
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "capped": 0, "events": len(rows)}
+    return SimulationRecord(kernel=kernel, initial=ensemble, times=np.array(times),
+                            snapshots=snaps, event_table=np.ascontiguousarray(rows[:, [0, 3, 4]]),
+                            event_cells=rows[:, 1:3].astype(np.int64), phi_integrals=phi,
                             v2_integrals=np.array(v2_vals), stats=stats)

@@ -17,12 +17,13 @@ uncompressed ``np.savez`` archive of these arrays:
 * ``events``: float ``(E, 3)``, ``t, post_velocity, post_psi``;
 * ``event_cells``: int64 ``(E, 2)``, ``first_index, last_index``.
 
-These are all the fields of a :class:`~stickyalign.dynamics.SimulationRecord`
-and its :class:`~stickyalign.dynamics.MergeEvent` objects, so a loaded record
-equals the saved one.  Binary floats make a save/load cycle bit-exact, which
-the golden regression tests rely on, and ``np.savez`` stamps every member
-with one fixed date, so saving a loaded record reproduces the file byte for
-byte.  Cluster masses and psi are not stored: they are pooled from the cells.
+These are all the fields of a :class:`~stickyalign.dynamics.SimulationRecord`,
+which holds the two event arrays as stored (``events`` as ``event_table``);
+neither save nor load makes the :class:`~stickyalign.dynamics.MergeEvent`
+objects of its ``events`` view.  Binary floats make a save/load cycle
+bit-exact, and ``np.savez`` stamps every member with one fixed date, so saving
+a loaded record reproduces the file byte for byte.  Cluster masses and psi are
+not stored: all snapshots share one set of cells, pooled once per partition.
 
 Loading checks the cells as ``Ensemble.from_particles`` checks raw particles
 (finite, positive masses totalling 1, nondecreasing positions), and their psi
@@ -43,8 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MergeEvent, SimulationRecord
-from .ensemble import Ensemble, _checked_cells
+from .dynamics import SimulationRecord
+from .ensemble import Ensemble, _checked_cells, _frozen
 from .exceptions import InvalidEnsembleError, RecordIOError
 from .flux import FluxAnalysis
 from .kernels import kernel_from_config, kernel_to_config
@@ -92,7 +93,7 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    init, snaps, events = record.initial, record.snapshots, record.events
+    init, snaps = record.initial, record.snapshots
     np.savez(
         d / "record.npz",
         cells=np.stack((init.cell_masses, init.cell_positions, init.cell_velocities,
@@ -103,11 +104,7 @@ def save_record(record: SimulationRecord, directory, extra_metadata: dict | None
                             np.concatenate([s.velocities for s in snaps]))),
         accumulators=np.column_stack((record.times, record.v2_integrals)),
         phi_integral=record.phi_integrals,
-        events=np.array([(ev.time, ev.post_velocity, ev.post_psi) for ev in events],
-                        dtype=float).reshape(-1, 3),
-        event_cells=np.array([(ev.first_index, ev.last_index) for ev in events],
-                             dtype=np.int64).reshape(-1, 2),
-    )
+        events=record.event_table, event_cells=record.event_cells)
     meta = {"format": "stickyalign-record", "kernel": kernel_to_config(record.kernel),
             "stats": record.stats}
     if extra_metadata:
@@ -210,9 +207,6 @@ def load_record(directory) -> SimulationRecord:
         k = int(np.argmax(bad))
         raise RecordIOError(f"event at t={ev_table[k, 0]}: bad cell range "
                             f"[{first[k]}, {last[k]}] (indices in [0, {n}) expected)")
-    events = [MergeEvent(time=t, first_index=i, last_index=j, post_velocity=post_v,
-                         post_psi=post_psi)
-              for (t, post_v, post_psi), (i, j) in zip(ev_table.tolist(), ev_cells.tolist())]
 
     times = acc[:, 0]
     if not np.all(np.diff(times) > 0):
@@ -230,24 +224,24 @@ def load_record(directory) -> SimulationRecord:
     # the next event is due by its time
     opens = np.flatnonzero(np.concatenate(([True], lineage0[1:] != lineage0[:-1])))
     closing = _first_cover(n, first + 1, last)[opens]
-    left = opens.size - np.searchsorted(np.sort(closing), np.arange(len(events) + 1))
+    left = opens.size - np.searchsorted(np.sort(closing), np.arange(len(ev_table) + 1))
     due = np.searchsorted(ev_table[:, 0], times + 1e-9 * np.maximum(1.0, np.abs(times)), "right")
     cursors = np.maximum.accumulate(np.minimum(np.searchsorted(-left, -clusters), due))
-    snapshots = []
+    cell_arrays, snapshots = tuple(map(_frozen, (m, x, v, psi))), []
     for t, count, cursor, (xs, vs) in zip(times.tolist(), clusters.tolist(), cursors.tolist(),
                                           np.split(rows, np.cumsum(clusters)[:-1], axis=1)):
         if left[cursor] != count:
             raise RecordIOError(f"snapshot at t={t}: {count} clusters but event replay "
                                 f"gives {left[cursor]}")
-        snapshots.append(Ensemble._assemble(m, x, v, psi, opens[closing >= cursor],
-                                            cluster_positions=xs, cluster_velocities=vs))
-    if cursors[-1] < len(events):
-        raise RecordIOError(f"event at t={events[cursors[-1]].time} is not reflected in any "
+        snapshots.append(Ensemble._assemble(cell_arrays, opens[closing >= cursor], xs, vs,
+                                            like=snapshots[-1] if snapshots else None))
+    if cursors[-1] < len(ev_table):
+        raise RecordIOError(f"event at t={ev_table[cursors[-1], 0]} is not reflected in any "
                             "snapshot (event replay ended at the last snapshot)")
 
     return SimulationRecord(kernel=kernel, initial=snapshots[0], times=times,
-                            snapshots=snapshots, events=events, phi_integrals=phi,
-                            v2_integrals=acc[:, 1], stats=stats)
+                            snapshots=snapshots, event_table=ev_table, event_cells=ev_cells,
+                            phi_integrals=phi, v2_integrals=acc[:, 1], stats=stats)
 
 
 # -- flux analysis exports ----------------------------------------------

@@ -111,16 +111,13 @@ def _chord_excess(flux: PiecewiseLinear, lo, hi, s) -> np.ndarray:
 def _merges(record: SimulationRecord):
     """Each merge's cell range ``[lo, hi)`` and ``post_psi``, and the worst-residual
     floor: with no merges the check passes vacuously with residual 0."""
-    events = record.events
-    lo = np.array([ev.first_index for ev in events], dtype=np.intp)
-    hi = np.array([ev.last_index for ev in events], dtype=np.intp) + 1
+    lo, last = record.event_cells.T
+    hi = last + 1
     bad = np.flatnonzero((lo < 0) | (hi - lo < 2) | (hi > record.initial.n_cells))
     if bad.size:
-        ev = events[bad[0]]
-        raise InvalidScenarioError(f"event range [{ev.first_index}, {ev.last_index}] "
+        raise InvalidScenarioError(f"event range {record.event_cells[bad[0]].tolist()} "
                                    f"incompatible with {record.initial.n_cells} cells")
-    s = np.array([ev.post_psi for ev in events], dtype=float)
-    return lo, hi, s, -math.inf if events else 0.0
+    return lo, hi, record.event_table[:, 2], -math.inf if lo.size else 0.0
 
 
 def check_barycentric(record: SimulationRecord) -> CheckResult:

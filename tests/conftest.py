@@ -19,7 +19,7 @@ from stickyalign import (
     PowerLaw,
     Zero,
 )
-from stickyalign.ensemble import _block_sums
+from stickyalign.ensemble import _block_sums, _frozen
 
 MASS_DENOM_POW = 20
 
@@ -65,8 +65,8 @@ def ensemble_with_psi(masses, positions, psi, kernel, **kwargs) -> Ensemble:
     psi = np.asarray(psi, dtype=float)
     ens = Ensemble.from_particles(masses, positions, np.zeros_like(psi), kernel, **kwargs)
     m, x = ens.cell_masses, ens.cell_positions
-    exact = Ensemble._assemble(m, x, psi - kernel.convolve(x, m), psi, ens.starts,
-                               cluster_positions=ens.positions, cluster_velocities=None)
+    cells = (m, x, _frozen(psi - kernel.convolve(x, m)), _frozen(psi))
+    exact = Ensemble._assemble(cells, ens.starts, ens.positions)
     assert np.array_equal(exact.cell_psi, psi)
     return exact
 

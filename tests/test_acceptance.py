@@ -59,7 +59,7 @@ def test_criterion_02_exponential_approach():
     start = time.perf_counter()
     rec = simulate(ens, kernel, 10.0, 1.0)
     elapsed = time.perf_counter() - start
-    assert rec.events == []
+    assert rec.events == ()
     for t in (1.0, 2.0, 3.0):
         gap = float(np.diff(rec.snapshot_at(t).positions)[0])
         exact = 2.0 * math.exp(-t)

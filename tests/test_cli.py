@@ -466,6 +466,12 @@ def test_converge_rejects_random_profile(tmp_path):
     assert run_converge(cfg, tmp_path / "study", quiet=True) == EXIT_CONFIG_ERROR
 
 
+def test_converge_rejects_a_sampler_that_is_not_an_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(LINEAR_CONVERGE, sampler=5))
+    assert run_converge(cfg, tmp_path / "study", quiet=True) == EXIT_CONFIG_ERROR
+    assert "'sampler' must be an object" in capsys.readouterr().err
+
+
 def test_converge_custom_table_refinement(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"type": "zero"},

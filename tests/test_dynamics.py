@@ -15,6 +15,7 @@ from stickyalign import (
     Ensemble,
     Exponential,
     InvalidScenarioError,
+    MergeEvent,
     NumericalAbortError,
     PowerLaw,
     Tolerances,
@@ -70,7 +71,7 @@ def test_linear_kernel_exponential_gap():
     # equal masses, K = 1, psi = 0: the gap solves g' = -g exactly
     ens = two_body(0.5, -1.0, 1.0, 0.5, 1.0, -1.0, AllToAll(1.0))
     rec = simulate(ens, AllToAll(1.0), 3.0, 0.5)
-    assert rec.events == []
+    assert rec.events == ()
     for t in (1.0, 2.0, 3.0):
         snap = rec.snapshot_at(t)
         gap = float(np.diff(snap.positions)[0])
@@ -127,7 +128,7 @@ def test_subcritical_pair_approaches_equilibrium():
     dpsi = float(ens.psi[1] - ens.psi[0])
     assert 0.0 < dpsi < kernel.big_phi_sup
     rec = simulate(ens, kernel, 30.0, 5.0)
-    assert rec.events == []
+    assert rec.events == ()
     gap = float(np.diff(rec.snapshots[-1].positions)[0])
     assert gap == pytest.approx(kernel.inv_big_phi(dpsi), abs=1e-6)
 
@@ -171,6 +172,20 @@ def test_sequential_collisions():
 EPS = 1e-3  # contact scale handed to _cascade: pairs within 2 EPS are in contact
 
 
+def events_of(table, cells) -> tuple[MergeEvent, ...]:
+    """Event arrays as ``_cascade`` returns and a record holds them, as objects."""
+    assert table.dtype == float and cells.dtype == np.int64
+    assert table.shape == (len(cells), 3) and cells.shape == (len(cells), 2)
+    return tuple(MergeEvent(t, i, j, v, psi)
+                 for (t, v, psi), (i, j) in zip(table.tolist(), cells.tolist()))
+
+
+def cascade(ens, t_ev, eps):
+    """``_cascade`` with its event arrays read as :class:`MergeEvent` objects."""
+    post, table, cells = _cascade(ens, t_ev, eps)
+    return post, events_of(table, cells)
+
+
 def at_instant(masses, positions, velocities) -> Ensemble:
     """One cell per cluster, with exactly these positions and velocities."""
     n = len(masses)
@@ -181,7 +196,7 @@ def at_instant(masses, positions, velocities) -> Ensemble:
 
 def test_cascade_merges_overlapping_pair_even_if_separating():
     ens = at_instant([0.25, 0.75], [0.5, 0.5 - 0.5 * EPS], [-1.0, 1.0])
-    post, events = _cascade(ens, 2.0, EPS)
+    post, events = cascade(ens, 2.0, EPS)
     assert post.n_clusters == 1
     assert [(ev.first_index, ev.last_index, ev.time) for ev in events] == [(0, 1, 2.0)]
     assert post.velocities[0] == pytest.approx(0.5, abs=1e-15)
@@ -191,22 +206,22 @@ def test_cascade_merges_overlapping_pair_even_if_separating():
 def test_cascade_merges_contact_pair_with_equal_velocities():
     # masses for which the mass-weighted means (m v) / m round apart
     ens = at_instant([0.4, 0.6], [0.0, 1.5 * EPS], [0.7, 0.7])
-    post, events = _cascade(ens, 0.0, EPS)
+    post, events = cascade(ens, 0.0, EPS)
     assert post.n_clusters == 1 and len(events) == 1
     assert events[0].post_velocity == post.velocities[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_cascade_leaves_separating_contact_pair_apart():
     ens = at_instant([0.5, 0.5], [0.0, 0.5 * EPS], [-0.1, 0.1])
-    post, events = _cascade(ens, 0.0, EPS)
-    assert events == [] and post is ens
+    post, events = cascade(ens, 0.0, EPS)
+    assert events == () and post is ens
 
 
 def test_cascade_chain_resolves_in_one_call():
     # Pooling the closing pair gives 1.5 > 1.0, a new violation with the third
     # cluster, whose gap to the pooled barycentre (2.4 EPS) is past contact.
     ens = at_instant([1 / 3] * 3, [0.0, 1.8 * EPS, 3.3 * EPS], [3.0, 0.0, 1.0])
-    post, events = _cascade(ens, 0.0, EPS)
+    post, events = cascade(ens, 0.0, EPS)
     assert post.n_clusters == 1
     assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 2)]
     assert events[0].post_velocity == post.velocities[0] == pytest.approx(4 / 3, abs=1e-15)
@@ -215,7 +230,7 @@ def test_cascade_chain_resolves_in_one_call():
 def test_cascade_overlap_whose_barycentre_crosses_a_neighbour_takes_it_in():
     # clusters 1 and 2 overlap; their barycentre (-EPS) lies left of cluster 0
     ens = at_instant([1 / 3] * 3, [0.0, 3.0 * EPS, -5.0 * EPS], [-1.0, 1.0, 1.0])
-    post, events = _cascade(ens, 0.0, EPS)
+    post, events = cascade(ens, 0.0, EPS)
     assert post.n_clusters == 1
     assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 2)]
     assert post.velocities[0] == pytest.approx(1 / 3, abs=1e-15)
@@ -226,7 +241,7 @@ def test_cascade_pools_overlaps_before_the_contact_fit():
     # which is in contact but separating; fitting the raw velocities instead
     # would pool 1 and 0.5 and merge cluster 2 in too
     ens = at_instant([1 / 3] * 3, [0.0, -0.5 * EPS, 1.0 * EPS], [-1.0, 1.0, 0.5])
-    post, events = _cascade(ens, 0.0, EPS)
+    post, events = cascade(ens, 0.0, EPS)
     assert [(ev.first_index, ev.last_index) for ev in events] == [(0, 1)]
     assert post.velocities.tolist() == [0.0, 0.5]
 
@@ -246,7 +261,7 @@ def test_cascade_is_the_isotonic_fit_on_each_contact_run(cells):
     x = np.concatenate(([0.0], np.cumsum(gaps[1:])))
     ens = at_instant(weights, x, v)
     m = ens.masses
-    post, events = _cascade(ens, 0.0, EPS)
+    post, events = cascade(ens, 0.0, EPS)
     after = post.velocities[post.lineage]
     cuts = np.flatnonzero(gaps[1:] > 2.0 * EPS) + 1
     for a, b in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [v.size]))):
@@ -469,11 +484,11 @@ def test_event_bookkeeping(rng, monkeypatch):
     parents = {}  # event -> masses and velocities of the clusters its cascade pooled
 
     def spy(ens, t_ev, eps):
-        post, events = _cascade(ens, t_ev, eps)
-        for ev in events:
+        out = _cascade(ens, t_ev, eps)
+        for ev in events_of(*out[1:]):
             a, b = ens.starts.searchsorted((ev.first_index, ev.last_index + 1))
             parents[ev] = ens.masses[a:b], ens.velocities[a:b]
-        return post, events
+        return out
 
     monkeypatch.setattr(dynamics, "_cascade", spy)
     for _ in range(5):
@@ -726,8 +741,8 @@ def test_closed_form_merges_nothing_after_the_last_node():
     ens = two_body(0.5, -1.0, speed, 0.5, 1.0, -speed, kernel)
     snapshot_dt = (1.0 - 5e-10) / 2.0
     rec = simulate(ens, kernel, 1.0, snapshot_dt)
-    assert rec.times[-1] < 1.0 and rec.events == []
-    assert dynamics._integrate(ens, kernel, 1.0, snapshot_dt).events == []
+    assert rec.times[-1] < 1.0 and rec.events == ()
+    assert dynamics._integrate(ens, kernel, 1.0, snapshot_dt).events == ()
 
 
 def test_closed_form_all_to_all_stays_finite_at_large_k_t():

@@ -164,10 +164,9 @@ class TestMerged:
         def pooled(a):
             return np.where(single, a[first], _block_sums(w * a, first) / _block_sums(w, first))
 
-        full = Ensemble._assemble(ens.cell_masses, ens.cell_positions, ens.cell_velocities,
-                                  ens.cell_psi, ens.starts[first],
-                                  cluster_positions=pooled(ens.positions),
-                                  cluster_velocities=pooled(ens.velocities))
+        cells = (ens.cell_masses, ens.cell_positions, ens.cell_velocities, ens.cell_psi)
+        full = Ensemble._assemble(cells, ens.starts[first], pooled(ens.positions),
+                                  pooled(ens.velocities))
         for f in ("cell_masses", "cell_positions", "cell_velocities", "cell_psi", "starts",
                   "masses", "positions", "velocities", "psi", "lineage"):
             got, want = getattr(out, f), getattr(full, f)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stickyalign import (
+    Ensemble,
     Exponential,
     PowerLaw,
     RecordIOError,
@@ -44,6 +45,16 @@ def _assert_same_bits(got, orig):
     assert got.tobytes() == orig.tobytes()
 
 
+@pytest.fixture
+def closed_form_record():
+    """A Zero run, solved in closed form, whose eight cells merge one by one."""
+    x = np.arange(8.0)
+    ens = Ensemble.from_particles([0.125] * 8, x, -x ** 1.5 / 8, Zero())
+    rec = simulate(ens, Zero(), 4.0, 0.5)
+    assert rec.stats["accepted"] == 0 and len({ev.time for ev in rec.events}) > 3
+    return rec
+
+
 def _assert_same_record(back, rec):
     """Bit equality of everything a saved record carries."""
     _assert_same_bits(back.times, rec.times)
@@ -54,7 +65,9 @@ def _assert_same_record(back, rec):
                       "cell_positions", "cell_velocities", "cell_psi"):
             _assert_same_bits(getattr(got, field), getattr(orig, field))
         validate_ensemble(got)
-    assert back.events == rec.events  # a MergeEvent holds only stored fields
+    _assert_same_bits(back.event_table, rec.event_table)
+    _assert_same_bits(back.event_cells, rec.event_cells)
+    assert back.events == rec.events
     _assert_same_bits(back.phi_integrals, rec.phi_integrals)
     _assert_same_bits(back.v2_integrals, rec.v2_integrals)
     assert back.stats == rec.stats
@@ -106,6 +119,36 @@ def test_record_from_a_merged_snapshot(tmp_path):
     back = load_record(tmp_path)
     _assert_same_record(back, rec)
     assert all(r.passed for r in verify_record(back))
+
+
+@pytest.mark.parametrize("which", ["eventful_record", "closed_form_record"])
+def test_events_and_cells_stay_arrays(which, request, tmp_path):
+    """A stepped PowerLaw run and a closed-form Zero run hold the event arrays
+    of ``record.npz`` as they are stored, read them as objects only through
+    ``events``, and share one set of cell arrays across every snapshot."""
+    rec = request.getfixturevalue(which)
+    save_record(rec, tmp_path)
+    stored = _arrays(tmp_path)
+    back = load_record(tmp_path)
+    for record in (rec, back):
+        _assert_same_bits(record.event_table, stored["events"])
+        _assert_same_bits(record.event_cells, stored["event_cells"])
+        fields = [(ev.time, ev.post_velocity, ev.post_psi, ev.first_index, ev.last_index)
+                  for ev in record.events]
+        assert fields == [tuple(row) + tuple(cells) for row, cells in
+                          zip(record.event_table.tolist(), record.event_cells.tolist())]
+        assert all(type(f[0]) is float and type(f[3]) is int for f in fields)
+        cells = [getattr(record.initial, "cell_" + f)
+                 for f in ("masses", "positions", "velocities", "psi")]
+        assert not any(a.flags.writeable for a in cells)
+        for snap in record.snapshots:
+            assert all(getattr(snap, "cell_" + f) is a
+                       for f, a in zip(("masses", "positions", "velocities", "psi"), cells))
+            validate_ensemble(snap)
+    # a loaded snapshot whose clusters did not change reuses the pooled arrays
+    for prev, snap in zip(back.snapshots, back.snapshots[1:]):
+        if np.array_equal(prev.starts, snap.starts):
+            assert snap.masses is prev.masses and snap.psi is prev.psi
 
 
 def test_stats_in_manifest(eventful_record, tmp_path):
@@ -233,7 +276,9 @@ def test_event_with_bad_cell_range(eventful_record, tmp_path):
     event_cells = _arrays(tmp_path)["event_cells"]
     event_cells[0] = (3, 9)  # beyond the 4-cell grid
     rewrite_record(tmp_path, event_cells=event_cells)
-    with pytest.raises(RecordIOError, match=re.escape("bad cell range [3, 9]")):
+    with pytest.raises(RecordIOError, match=re.escape(
+            f"event at t={eventful_record.event_table[0, 0]}: bad cell range [3, 9] "
+            "(indices in [0, 4) expected)")):
         load_record(tmp_path)
 
 
@@ -366,7 +411,9 @@ def test_event_after_the_last_snapshot(tmp_path):
     arrays = _arrays(tmp_path)
     rewrite_record(tmp_path, events=np.vstack((arrays["events"], [5.0, 0.0, 0.0])),
                    event_cells=np.vstack((arrays["event_cells"], [0, 3])))
-    with pytest.raises(RecordIOError, match=re.escape("t=5.0")):
+    with pytest.raises(RecordIOError, match=re.escape(
+            "event at t=5.0 is not reflected in any snapshot (event replay ended at the last "
+            "snapshot)")):
         load_record(tmp_path)
 
 

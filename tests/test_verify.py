@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,9 +57,13 @@ def mixed_record():
 
 
 def fabricated(kernel, snapshots, times, events=(), phi=None, v2=None):
+    """A record of the given snapshots and :class:`MergeEvent` objects."""
+    rows = [(ev.time, ev.post_velocity, ev.post_psi) for ev in events]
+    cells = [(ev.first_index, ev.last_index) for ev in events]
     return SimulationRecord(kernel=kernel, initial=snapshots[0],
-                            times=np.asarray(times, dtype=float),
-                            snapshots=list(snapshots), events=list(events),
+                            times=np.asarray(times, dtype=float), snapshots=list(snapshots),
+                            event_table=np.array(rows, dtype=float).reshape(-1, 3),
+                            event_cells=np.array(cells, dtype=np.int64).reshape(-1, 2),
                             phi_integrals=phi, v2_integrals=v2)
 
 
@@ -105,7 +110,8 @@ class TestBarycentric:
 
     def test_bad_range_rejected(self):
         for first, last in ((2, 9), (-1, 1), (1, 1)):
-            with pytest.raises(InvalidScenarioError, match="incompatible with 2 cells"):
+            with pytest.raises(InvalidScenarioError, match=re.escape(
+                    f"event range [{first}, {last}] incompatible with 2 cells")):
                 check_barycentric(merged([1.0, -1.0], [0.5, 0.5], (first, last, 0.0)))
 
 
@@ -573,7 +579,7 @@ def test_verify_record_catches_tampered_event(mixed_record):
                           post_psi=ev.post_psi + 0.5)
     rec = fabricated(mixed_record.kernel, mixed_record.snapshots,
                      mixed_record.times,
-                     [doctored] + mixed_record.events[1:],
+                     (doctored,) + mixed_record.events[1:],
                      phi=mixed_record.phi_integrals, v2=mixed_record.v2_integrals)
     by_name = {r.name: r for r in verify_record(rec)}
     assert not by_name["rankine_hugoniot"].passed
@@ -597,7 +603,7 @@ def test_verify_large_exponential_rarefaction():
     ens = Ensemble.from_particles(dyadic_masses(rng, n), np.sort(rng.normal(size=n)),
                                   np.sort(rng.normal(scale=0.5, size=n)), kernel)
     rec = simulate(ens, kernel, 4.0, 0.5)
-    assert rec.events == [] and rec.snapshots[-1].n_clusters == n
+    assert rec.events == () and rec.snapshots[-1].n_clusters == n
     failed = [r.name for r in verify_record(rec) if not r.passed]
     assert failed == []
 
